@@ -1,49 +1,18 @@
 """Scalar hot kernels for the per-scheme SINR and rate closed forms.
 
-These functions sit in the innermost loop of the multi-start optimizer
-(every objective / constraint evaluation lands here), so they are compiled
-with numba when available.  Setting the environment variable
-``SELFBACKHAUL_NO_NUMBA=1`` before import selects the pure-Python/numpy
-fallback path; the function bodies are identical in both modes.
+These functions sit in the innermost loop of the multi-start optimizer:
+every objective and constraint evaluation lands here, one scalar point
+per call, in plain Python (`math` on floats; no arrays are built).
 
 All inputs are linear units: powers in mW, gains dimensionless.
 Scheme ids: 0 = full duplex, 1 = half duplex, 2 = hybrid relay.
 """
 
 import math
-import os
 
 FD, HD, RL = 0, 1, 2
 
-_DISABLE = os.environ.get("SELFBACKHAUL_NO_NUMBA", "").strip().lower() in (
-    "1", "true", "yes", "on",
-)
 
-if not _DISABLE:
-    try:
-        from numba import njit
-
-        NUMBA_ENABLED = True
-    except ImportError:  # pragma: no cover - numba is a declared dependency
-        NUMBA_ENABLED = False
-else:
-    NUMBA_ENABLED = False
-
-if not NUMBA_ENABLED:
-
-    def njit(*args, **kwargs):
-        """No-op decorator used on the fallback path."""
-
-        def wrap(func):
-            func.py_func = func
-            return func
-
-        if args and callable(args[0]):
-            return wrap(args[0])
-        return wrap
-
-
-@njit(cache=True)
 def sinr_tuple(scheme, n_t, n_r, m_bh_t, m_bh_r, d, u, k_d2d, k_an,
                sigma_n2, l_ue, l_ud, l_bh, alpha,
                p_d, p_u, p_bh_d, p_bh_u, p_u_d2d):
@@ -106,7 +75,6 @@ def sinr_tuple(scheme, n_t, n_r, m_bh_t, m_bh_r, d, u, k_d2d, k_an,
     return sinr_d, sinr_u, sinr_d2d, sinr_bh_d, sinr_bh_u
 
 
-@njit(cache=True)
 def rate_parts(scheme, n_t, n_r, m_bh_t, m_bh_r, d, u, k_d2d, k_an,
                sigma_n2, l_ue, l_ud, l_bh, alpha,
                p_d, p_u, p_bh_d, p_bh_u, p_u_d2d, eta):
@@ -114,10 +82,7 @@ def rate_parts(scheme, n_t, n_r, m_bh_t, m_bh_r, d, u, k_d2d, k_an,
 
     Returns (c_d, c_u, c_d2d, relay_dl, relay_ul, c_bh_d, c_bh_u) where
     relay_dl / relay_ul are the time-weighted per-pair rates whose minimum
-    enters the intra-cell term for each AN-relayed pair:
-
-        c_ic = c_d2d + k_an * min(relay_dl, relay_ul)
-        c_s  = c_d + c_u + c_ic
+    is the rate of each AN-relayed pair (see `rates.rates`).
     """
     sinr_d, sinr_u, sinr_d2d, sinr_bh_d, sinr_bh_u = sinr_tuple(
         scheme, n_t, n_r, m_bh_t, m_bh_r, d, u, k_d2d, k_an,
@@ -157,17 +122,3 @@ def rate_parts(scheme, n_t, n_r, m_bh_t, m_bh_r, d, u, k_d2d, k_an,
 
     return c_d, c_u, c_d2d, relay_dl, relay_ul, c_bh_d, c_bh_u
 
-
-@njit(cache=True)
-def sum_rate(scheme, n_t, n_r, m_bh_t, m_bh_r, d, u, k_d2d, k_an,
-             sigma_n2, l_ue, l_ud, l_bh, alpha,
-             p_d, p_u, p_bh_d, p_bh_u, p_u_d2d, eta):
-    """Total user-facing sum-rate (backhaul rates excluded)."""
-    c_d, c_u, c_d2d, relay_dl, relay_ul, _, _ = rate_parts(
-        scheme, n_t, n_r, m_bh_t, m_bh_r, d, u, k_d2d, k_an,
-        sigma_n2, l_ue, l_ud, l_bh, alpha,
-        p_d, p_u, p_bh_d, p_bh_u, p_u_d2d, eta)
-    ic = c_d2d
-    if k_an > 0:
-        ic += k_an * min(relay_dl, relay_ul)
-    return c_d + c_u + ic

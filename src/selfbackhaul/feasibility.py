@@ -1,8 +1,11 @@
-"""Inequality-constraint evaluation with per-constraint slack reporting.
+"""The constraint set of the sum-rate maximization, written once.
 
-Every constraint is expressed as ``value <= 0``; a report is feasible when
-the largest value does not exceed the tolerance.  Constraint labels are
-fixed and emitted in a deterministic order:
+`slack_rows` lists every constraint of one (scheme, params) instance as a
+labelled slack, ``>= 0`` when the constraint holds.  The optimizer hands
+SLSQP the rows its variable boxes do not enforce; `constraints` reports
+the negated slack of every row, so a report value is ``<= 0`` when
+satisfied and a report is feasible when the largest value does not exceed
+the tolerance.  Labels are emitted in a fixed order:
 
     bh_dl, bh_ul, pwr_an, pwr_ue_ul, pwr_ue_d2d, pwr_bn,
     rho_lo, rho_hi, eta_lo, eta_hi
@@ -15,6 +18,7 @@ link carries no out-of-cell users, and the eta bounds for full duplex.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import lru_cache
 
 from .model import PowerAllocation, Scheme, SystemParams
 from .rates import rates
@@ -39,38 +43,56 @@ class ConstraintReport:
         return [name for name, _ in self.values]
 
 
+def rho_applicable(params: SystemParams) -> bool:
+    """True when both links carry out-of-cell users, so the UL/DL
+    rate-ratio band applies."""
+    return (params.d - params.k_d2d - params.k_an > 0
+            and params.u - params.k_d2d - params.k_an > 0)
+
+
+@lru_cache(maxsize=64)
+def slack_rows(scheme: Scheme, params: SystemParams) -> tuple:
+    """``(label, slack)`` for every constraint of the instance, in order.
+
+    ``slack(c, a)`` takes the rates ``c = (c_d, c_u, c_bh_d, c_bh_u)`` and
+    the allocation ``a = (p_d, p_u, p_bh_d, p_bh_u, p_u_d2d, eta)`` and is
+    ``>= 0`` when the constraint holds.  The rows depend only on the
+    instance, so they are built once per instance rather than on each of
+    the many evaluations that repair and the solver make.
+    """
+    p_an, p_ue, p_bn = params.p_an_max, params.p_ue_max, params.p_bh_d_max
+    rows = [("bh_dl", lambda c, a: c[2] - c[0]),
+            ("bh_ul", lambda c, a: c[3] - c[1])]
+    if scheme is Scheme.HYBRID_RELAY:
+        # DL and outgoing-backhaul transmissions occupy disjoint time
+        # slots, so only the larger of the two powers must fit the budget.
+        rows.append(("pwr_an", lambda c, a: p_an - max(a[0], a[3])))
+    else:
+        rows.append(("pwr_an", lambda c, a: p_an - a[0] - a[3]))
+    rows.append(("pwr_ue_ul", lambda c, a: p_ue - a[1]))
+    if params.k_d2d > 0:
+        rows.append(("pwr_ue_d2d", lambda c, a: p_ue - a[4]))
+    rows.append(("pwr_bn", lambda c, a: p_bn - a[2]))
+    if rho_applicable(params):
+        rho_min, rho_max = params.rho_min, params.rho_max
+        rows.append(("rho_lo", lambda c, a: c[1] - rho_min * c[0]))
+        rows.append(("rho_hi", lambda c, a: rho_max * c[0] - c[1]))
+    if scheme is not Scheme.FULL_DUPLEX:
+        rows.append(("eta_lo", lambda c, a: a[5]))
+        rows.append(("eta_hi", lambda c, a: 1.0 - a[5]))
+    return tuple(rows)
+
+
 def constraints(scheme: Scheme, params: SystemParams, alloc: PowerAllocation,
                 tol: float = DEFAULT_TOL) -> ConstraintReport:
     """Evaluate the full constraint vector for one allocation."""
     rb = rates(scheme, params, alloc)
-
-    entries = [
-        ("bh_dl", rb.c_d - rb.c_bh_d),
-        ("bh_ul", rb.c_u - rb.c_bh_u),
-    ]
-    if scheme is Scheme.HYBRID_RELAY:
-        # DL and outgoing-backhaul transmissions occupy disjoint time
-        # slots, so only the larger of the two powers must fit the budget.
-        entries.append(("pwr_an", max(alloc.p_d, alloc.p_bh_u) - params.p_an_max))
-    else:
-        entries.append(("pwr_an", alloc.p_d + alloc.p_bh_u - params.p_an_max))
-    entries.append(("pwr_ue_ul", alloc.p_u - params.p_ue_max))
-    if params.k_d2d > 0:
-        entries.append(("pwr_ue_d2d", alloc.p_u_d2d - params.p_ue_max))
-    entries.append(("pwr_bn", alloc.p_bh_d - params.p_bh_d_max))
-
-    rho_applicable = (params.d - params.k_d2d - params.k_an > 0
-                      and params.u - params.k_d2d - params.k_an > 0)
-    if rho_applicable:
-        entries.append(("rho_lo", params.rho_min * rb.c_d - rb.c_u))
-        entries.append(("rho_hi", rb.c_u - params.rho_max * rb.c_d))
-
-    if scheme is not Scheme.FULL_DUPLEX:
-        entries.append(("eta_lo", -alloc.eta))
-        entries.append(("eta_hi", alloc.eta - 1.0))
-
-    max_violation = max(value for _, value in entries)
-    return ConstraintReport(values=tuple(entries),
+    c = (rb.c_d, rb.c_u, rb.c_bh_d, rb.c_bh_u)
+    a = alloc.as_tuple()
+    entries = tuple([(label, -slack(c, a))
+                     for label, slack in slack_rows(scheme, params)])
+    max_violation = float(max(value for _, value in entries))
+    return ConstraintReport(values=entries,
                             max_violation=max_violation,
-                            feasible=max_violation <= tol,
+                            feasible=bool(max_violation <= tol),
                             tol=tol)

@@ -9,7 +9,7 @@ are usually specified.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from enum import Enum
 from pathlib import Path
 from typing import Mapping
@@ -81,9 +81,6 @@ class SystemParams:
         return (self.n_t, self.n_r, self.m_bh_t, self.m_bh_r,
                 self.d, self.u, self.k_d2d, self.k_an,
                 self.sigma_n2, self.l_ue, self.l_ud, self.l_bh, self.alpha)
-
-    def with_overrides(self, **kwargs) -> "SystemParams":
-        return replace(self, **kwargs)
 
 
 @dataclass(frozen=True)

@@ -3,8 +3,10 @@
 Each start draws transmit powers log-uniformly across the feasible decades,
 repairs obvious constraint violations by shrinking the offending powers,
 and then runs an SLSQP solve on box-bounded variables (powers in log10
-space).  The nonsmooth ``min`` term contributed by AN-relayed pairs is
-handled through an epigraph auxiliary variable by default.
+space).  The constraints are the rows of `feasibility.slack_rows` that
+the variable boxes do not enforce, so the solver and the feasibility
+report share one encoding.  The nonsmooth ``min`` term contributed by
+AN-relayed pairs is handled through an epigraph auxiliary variable.
 
 The best feasible local maximum over all starts is returned together with
 per-start diagnostics; results are deterministic for a fixed seed.
@@ -13,13 +15,14 @@ per-start diagnostics; results are deterministic for a fixed seed.
 from __future__ import annotations
 
 import warnings
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 from scipy.optimize import minimize
 
 from . import _kernels
-from .feasibility import ConstraintReport, constraints
+from .feasibility import (ConstraintReport, constraints, rho_applicable,
+                          slack_rows)
 from .model import PowerAllocation, Scheme, SystemParams, require_valid
 from .rates import RateBreakdown, rates
 
@@ -39,7 +42,6 @@ class OptimizerOptions:
     max_iterations: int = 150
     feasibility_tol: float = 1e-6
     objective_tol: float = 1e-9
-    epigraph_enabled: bool = True
 
     def check(self):
         if self.n_starts < 1:
@@ -89,22 +91,26 @@ class _Problem:
     any power that moves a rate, so it stands in for "off".
     """
 
-    def __init__(self, scheme: Scheme, params: SystemParams,
-                 opts: OptimizerOptions):
+    def __init__(self, scheme: Scheme, params: SystemParams):
         self.scheme = scheme
         self.params = params
-        self.opts = opts
         self.kid = scheme.kernel_id
         self.kargs = params.kernel_args()
 
         self.has_d2d = params.k_d2d > 0
         self.has_eta = scheme is not Scheme.FULL_DUPLEX
-        self.epigraph = opts.epigraph_enabled and params.k_an > 0
-        self.rho_applicable = (params.d - params.k_d2d - params.k_an > 0
-                               and params.u - params.k_d2d - params.k_an > 0)
-        # RL transmits DL and outgoing backhaul in disjoint slots, so the AN
-        # budget reduces to the individual box bounds.
-        self.an_sum_budget = scheme is not Scheme.HYBRID_RELAY
+        self.epigraph = params.k_an > 0
+
+        # The boxes below enforce the power caps and the time split.  RL
+        # transmits DL and outgoing backhaul in disjoint slots, so its AN
+        # budget reduces to the p_d and p_bh_u boxes as well.
+        boxed = {"pwr_ue_ul", "pwr_ue_d2d", "pwr_bn", "eta_lo", "eta_hi"}
+        if scheme is Scheme.HYBRID_RELAY:
+            boxed.add("pwr_an")
+        self._rows = [_scaled(slack, params.p_an_max) if label == "pwr_an"
+                      else slack
+                      for label, slack in slack_rows(scheme, params)
+                      if label not in boxed]
 
         caps = [params.p_an_max, params.p_ue_max,
                 params.p_bh_d_max, params.p_an_max]
@@ -123,7 +129,7 @@ class _Problem:
             self._bounds.append((0.0, t_cap))
         self.dim = len(self._bounds)
 
-        self._memo_x = None
+        self._memo_key = None
         self._memo_val = None
 
     # -- variable vector <-> allocation --------------------------------
@@ -153,37 +159,29 @@ class _Problem:
 
     def eval_point(self, x):
         """(negated objective, constraint slack vector >= 0 when feasible)."""
-        if self._memo_x is not None and np.array_equal(x, self._memo_x):
+        # list equality is np.array_equal's elementwise test on a 1-D
+        # array, at a fraction of its cost on this per-call path
+        key = x.tolist()
+        if key == self._memo_key:
             return self._memo_val
         p = self.powers(x)
-        p_d, p_u, p_bh_d, p_bh_u = p[0], p[1], p[2], p[3]
-        p_u_d2d = p[4] if self.has_d2d else 0.0
-        eta = x[self.eta_idx] if self.has_eta else 0.5
+        a = (p[0], p[1], p[2], p[3], p[4] if self.has_d2d else 0.0,
+             x[self.eta_idx] if self.has_eta else 0.5)
 
         c_d, c_u, c_d2d, relay_dl, relay_ul, c_bh_d, c_bh_u = (
-            _kernels.rate_parts(self.kid, *self.kargs, p_d, p_u, p_bh_d,
-                                p_bh_u, p_u_d2d, eta))
+            _kernels.rate_parts(self.kid, *self.kargs, *a))
 
-        k_an = self.params.k_an
         obj = c_d + c_u + c_d2d
-        g = [c_bh_d - c_d, c_bh_u - c_u]
-        if self.an_sum_budget:
-            g.append((self.params.p_an_max - p_d - p_bh_u)
-                     / self.params.p_an_max)
-        if self.rho_applicable:
-            g.append(c_u - self.params.rho_min * c_d)
-            g.append(self.params.rho_max * c_d - c_u)
-        if k_an > 0:
-            if self.epigraph:
-                t = x[self.t_idx]
-                obj += k_an * t
-                g.append(relay_dl - t)
-                g.append(relay_ul - t)
-            else:
-                obj += k_an * min(relay_dl, relay_ul)
+        c = (c_d, c_u, c_bh_d, c_bh_u)
+        g = [slack(c, a) for slack in self._rows]
+        if self.epigraph:
+            t = x[self.t_idx]
+            obj += self.params.k_an * t
+            g.append(relay_dl - t)
+            g.append(relay_ul - t)
 
         value = (-obj, np.asarray(g))
-        self._memo_x = x.copy()
+        self._memo_key = key
         self._memo_val = value
         return value
 
@@ -197,25 +195,20 @@ class _Problem:
         return _central_diff(self.objective, x)
 
     def constraint_jac(self, x):
-        return _central_diff_jac(self.constraint_vec, x)
+        return _central_diff(self.constraint_vec, x)
 
     def bounds(self):
         return self._bounds
 
 
+def _scaled(slack, scale):
+    """The AN budget row in units of the budget, the order of the rates."""
+    return lambda c, a: slack(c, a) / scale
+
+
 def _central_diff(fun, x):
-    grad = np.empty_like(x)
-    for i in range(x.size):
-        h = _FD_STEP * max(1.0, abs(x[i]))
-        xp = x.copy()
-        xm = x.copy()
-        xp[i] += h
-        xm[i] -= h
-        grad[i] = (fun(xp) - fun(xm)) / (2.0 * h)
-    return grad
-
-
-def _central_diff_jac(fun, x):
+    """Gradient of a scalar ``fun``, or Jacobian (rows = outputs) of a
+    vector one."""
     cols = []
     for i in range(x.size):
         h = _FD_STEP * max(1.0, abs(x[i]))
@@ -224,7 +217,7 @@ def _central_diff_jac(fun, x):
         xp[i] += h
         xm[i] -= h
         cols.append((fun(xp) - fun(xm)) / (2.0 * h))
-    return np.column_stack(cols)
+    return np.array(cols).T
 
 
 # -- start generation and repair ---------------------------------------
@@ -261,21 +254,12 @@ def _shrink_power(scheme, params, alloc, field_name, violation_fn, tol):
     lo, hi = 0.0, 1.0
     for _ in range(_BISECT_ITERS):
         mid = 0.5 * (lo + hi)
-        trial = _with(alloc, field_name, mid * base)
+        trial = replace(alloc, **{field_name: mid * base})
         if violation_fn(trial) > -_REPAIR_MARGIN:
             hi = mid
         else:
             lo = mid
-    return _with(alloc, field_name, lo * base)
-
-
-def _with(alloc: PowerAllocation, field_name, value) -> PowerAllocation:
-    d = {
-        "p_d": alloc.p_d, "p_u": alloc.p_u, "p_bh_d": alloc.p_bh_d,
-        "p_bh_u": alloc.p_bh_u, "p_u_d2d": alloc.p_u_d2d, "eta": alloc.eta,
-    }
-    d[field_name] = value
-    return PowerAllocation(**d)
+    return replace(alloc, **{field_name: lo * base})
 
 
 def repair_start(scheme: Scheme, params: SystemParams,
@@ -300,8 +284,7 @@ def repair_start(scheme: Scheme, params: SystemParams,
         total = alloc.p_d + alloc.p_bh_u
         if total > params.p_an_max:
             f = params.p_an_max / total
-            alloc = _with(alloc, "p_d", alloc.p_d * f)
-            alloc = _with(alloc, "p_bh_u", alloc.p_bh_u * f)
+            alloc = replace(alloc, p_d=alloc.p_d * f, p_bh_u=alloc.p_bh_u * f)
 
     def g(label):
         def fn(a):
@@ -348,7 +331,7 @@ def optimize(scheme: Scheme, params: SystemParams,
     opts.check()
     require_valid(params, scheme)
 
-    problem = _Problem(scheme, params, opts)
+    problem = _Problem(scheme, params)
     starts = []
     best = None  # (objective, index, alloc)
 
@@ -442,9 +425,7 @@ def baseline(scheme: Scheme, params: SystemParams):
     raw = rates(scheme, params, alloc)
     c_d = min(raw.c_d, raw.c_bh_d)
     c_u = min(raw.c_u, raw.c_bh_u)
-    rho_applicable = (params.d - params.k_d2d - params.k_an > 0
-                      and params.u - params.k_d2d - params.k_an > 0)
-    if rho_applicable:
+    if rho_applicable(params):
         if c_u > params.rho_max * c_d:
             c_u = params.rho_max * c_d
         elif c_u < params.rho_min * c_d:

@@ -7,7 +7,7 @@ from scipy.optimize import minimize
 from selfbackhaul.feasibility import constraints
 from selfbackhaul.model import PowerAllocation, Scheme
 from selfbackhaul.optimizer import (NoFeasiblePointError, OptimizerOptions,
-                                   baseline, optimize, repair_start)
+                                   _Problem, baseline, optimize, repair_start)
 from selfbackhaul.rates import rates
 import selfbackhaul.optimizer as optimizer_mod
 
@@ -169,25 +169,53 @@ def _direct_min_form_maximum(scheme, params, seeds):
     return best
 
 
-@pytest.mark.parametrize("k_an", [1, 3, 5])
-def test_epigraph_matches_direct_min_form(k_an):
+@pytest.mark.parametrize("scheme,k_an", [
+    (Scheme.HYBRID_RELAY, 1), (Scheme.HYBRID_RELAY, 3),
+    (Scheme.HYBRID_RELAY, 5), (Scheme.FULL_DUPLEX, 2),
+], ids=["1", "3", "5", "fd-2"])
+def test_epigraph_matches_direct_min_form(scheme, k_an):
     params = make_params(k_an=k_an, m_bh_t=2, m_bh_r=4)
-    epi = optimize(Scheme.HYBRID_RELAY, params,
-                   OptimizerOptions(n_starts=16, rng_seed=7))
-    direct = _direct_min_form_maximum(Scheme.HYBRID_RELAY, params,
-                                      seeds=range(40))
+    epi = optimize(scheme, params, OptimizerOptions(n_starts=16, rng_seed=7))
+    direct = _direct_min_form_maximum(scheme, params, seeds=range(40))
     assert epi.best_rates.c_s == pytest.approx(direct, rel=1e-3)
 
 
-def test_epigraph_toggle_changes_method_not_result():
-    params = make_params(k_an=2, m_bh_t=2, m_bh_r=4)
-    on = optimize(Scheme.FULL_DUPLEX, params,
-                  OptimizerOptions(n_starts=12, rng_seed=3,
-                                   epigraph_enabled=True))
-    off = optimize(Scheme.FULL_DUPLEX, params,
-                   OptimizerOptions(n_starts=12, rng_seed=3,
-                                    epigraph_enabled=False))
-    assert off.best_rates.c_s == pytest.approx(on.best_rates.c_s, rel=1e-3)
+@pytest.mark.parametrize("scheme", list(Scheme))
+@pytest.mark.parametrize("cell", [{}, {"k_d2d": 1}, {"k_an": 1}],
+                         ids=["reference", "direct-pair", "relayed-pair"])
+def test_optimizer_drops_no_constraint(scheme, cell):
+    # every reported constraint is either enforced by the variable boxes or
+    # handed to SLSQP, in report order, as the exact negated report value
+    # (the AN budget row scaled by its cap); the epigraph rows come last
+    params = make_params(**cell)
+    problem = _Problem(scheme, params)
+    boxed = {"pwr_ue_ul", "pwr_ue_d2d", "pwr_bn", "eta_lo", "eta_hi"}
+    if scheme is Scheme.HYBRID_RELAY:
+        boxed.add("pwr_an")
+    lo, hi = (np.array(side) for side in zip(*problem.bounds()))
+    rng = np.random.default_rng(11)
+    for _ in range(50):
+        x = rng.uniform(lo, hi)
+        report = constraints(scheme, params, problem.to_alloc(x))
+        expected = []
+        for label, value in report.values:
+            if label in boxed:
+                assert value <= report.tol, label
+            elif label == "pwr_an":
+                expected.append(-value / params.p_an_max)
+            else:
+                expected.append(-value)
+        g = problem.constraint_vec(x)
+        assert g.size == len(expected) + (2 if params.k_an else 0)
+        assert list(g[:len(expected)]) == expected
+
+
+def test_reports_carry_plain_python_types(reference_params):
+    result = optimize(Scheme.FULL_DUPLEX, reference_params)
+    assert not all(s.feasible for s in result.starts)
+    assert all(type(s.feasible) is bool for s in result.starts)
+    assert type(result.best_report.feasible) is bool
+    assert type(result.best_report.max_violation) is float
 
 
 def test_single_intra_cell_pair_costs_a_little_either_way():
