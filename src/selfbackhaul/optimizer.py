@@ -7,6 +7,9 @@ space).  The constraints are the rows of `feasibility.slack_rows` that
 the variable boxes do not enforce, so the solver and the feasibility
 report share one encoding.  The nonsmooth ``min`` term contributed by
 AN-relayed pairs is handled through an epigraph auxiliary variable.
+The objective gradient and the constraint Jacobian share one
+central-difference pass per iterate: each perturbed point is evaluated
+once and yields the objective and the slack vector together.
 
 The best feasible local maximum over all starts is returned together with
 per-start diagnostics; results are deterministic for a fixed seed.
@@ -131,6 +134,8 @@ class _Problem:
 
         self._memo_key = None
         self._memo_val = None
+        self._deriv_key = None
+        self._deriv_val = None
 
     # -- variable vector <-> allocation --------------------------------
 
@@ -160,13 +165,15 @@ class _Problem:
     def eval_point(self, x):
         """(negated objective, constraint slack vector >= 0 when feasible)."""
         # list equality is np.array_equal's elementwise test on a 1-D
-        # array, at a fraction of its cost on this per-call path
+        # array, at a fraction of its cost on this per-call path; the
+        # kernel and the rows then run on Python floats, whose arithmetic
+        # is the same IEEE double arithmetic as np.float64's, only cheaper
         key = x.tolist()
         if key == self._memo_key:
             return self._memo_val
-        p = self.powers(x)
+        p = self.powers(x).tolist()
         a = (p[0], p[1], p[2], p[3], p[4] if self.has_d2d else 0.0,
-             x[self.eta_idx] if self.has_eta else 0.5)
+             key[self.eta_idx] if self.has_eta else 0.5)
 
         c_d, c_u, c_d2d, relay_dl, relay_ul, c_bh_d, c_bh_u = (
             _kernels.rate_parts(self.kid, *self.kargs, *a))
@@ -175,7 +182,7 @@ class _Problem:
         c = (c_d, c_u, c_bh_d, c_bh_u)
         g = [slack(c, a) for slack in self._rows]
         if self.epigraph:
-            t = x[self.t_idx]
+            t = key[self.t_idx]
             obj += self.params.k_an * t
             g.append(relay_dl - t)
             g.append(relay_ul - t)
@@ -185,6 +192,34 @@ class _Problem:
         self._memo_val = value
         return value
 
+    def derivatives(self, x):
+        """(objective gradient, constraint Jacobian) by central differences.
+
+        One pass of 2*dim point evaluations gives both, as each evaluation
+        returns the objective and the slack vector together.  SLSQP asks
+        for the gradient and the Jacobian at the same iterate, so the pair
+        is kept for the last point asked for.
+        """
+        key = x.tolist()
+        if key == self._deriv_key:
+            return self._deriv_val
+        grad = []
+        cols = []
+        for i in range(x.size):
+            h = _FD_STEP * max(1.0, abs(x[i]))
+            xp = x.copy()
+            xm = x.copy()
+            xp[i] += h
+            xm[i] -= h
+            f_p, g_p = self.eval_point(xp)
+            f_m, g_m = self.eval_point(xm)
+            grad.append((f_p - f_m) / (2.0 * h))
+            cols.append((g_p - g_m) / (2.0 * h))
+        value = (np.array(grad), np.array(cols).T)
+        self._deriv_key = key
+        self._deriv_val = value
+        return value
+
     def objective(self, x):
         return self.eval_point(x)[0]
 
@@ -192,10 +227,10 @@ class _Problem:
         return self.eval_point(x)[1]
 
     def objective_grad(self, x):
-        return _central_diff(self.objective, x)
+        return self.derivatives(x)[0]
 
     def constraint_jac(self, x):
-        return _central_diff(self.constraint_vec, x)
+        return self.derivatives(x)[1]
 
     def bounds(self):
         return self._bounds
@@ -204,20 +239,6 @@ class _Problem:
 def _scaled(slack, scale):
     """The AN budget row in units of the budget, the order of the rates."""
     return lambda c, a: slack(c, a) / scale
-
-
-def _central_diff(fun, x):
-    """Gradient of a scalar ``fun``, or Jacobian (rows = outputs) of a
-    vector one."""
-    cols = []
-    for i in range(x.size):
-        h = _FD_STEP * max(1.0, abs(x[i]))
-        xp = x.copy()
-        xm = x.copy()
-        xp[i] += h
-        xm[i] -= h
-        cols.append((fun(xp) - fun(xm)) / (2.0 * h))
-    return np.array(cols).T
 
 
 # -- start generation and repair ---------------------------------------
@@ -240,7 +261,26 @@ def _draw_start(problem: _Problem, rng) -> PowerAllocation:
     )
 
 
-def _shrink_power(scheme, params, alloc, field_name, violation_fn, tol):
+def _row_violation(scheme: Scheme, params: SystemParams, label: str):
+    """``alloc -> constraints(scheme, params, alloc).value(label)``.
+
+    The one row is computed from one kernel call, without the rates
+    breakdown, the other rows or the report; the caller has validated
+    ``params`` and each allocation.
+    """
+    slack = dict(slack_rows(scheme, params))[label]
+    kid = scheme.kernel_id
+    kargs = params.kernel_args()
+
+    def violation(alloc):
+        a = alloc.as_tuple()
+        c_d, c_u, _, _, _, c_bh_d, c_bh_u = _kernels.rate_parts(
+            kid, *kargs, *a)
+        return -slack((c_d, c_u, c_bh_d, c_bh_u), a)
+    return violation
+
+
+def _shrink_power(alloc, field_name, violation_fn):
     """Bisect a multiplier on one power until the violation clears.
 
     ``violation_fn`` maps an allocation to a scalar that must become <= 0;
@@ -255,6 +295,7 @@ def _shrink_power(scheme, params, alloc, field_name, violation_fn, tol):
     for _ in range(_BISECT_ITERS):
         mid = 0.5 * (lo + hi)
         trial = replace(alloc, **{field_name: mid * base})
+        trial.check()
         if violation_fn(trial) > -_REPAIR_MARGIN:
             hi = mid
         else:
@@ -271,6 +312,8 @@ def repair_start(scheme: Scheme, params: SystemParams,
     bisecting the offending power toward zero, iterating a few passes
     because the schemes couple the links through interference.
     """
+    # the bisections evaluate their one row on the kernel directly
+    require_valid(params, scheme)
     # box clips
     alloc = PowerAllocation(
         p_d=min(alloc.p_d, params.p_an_max),
@@ -286,15 +329,6 @@ def repair_start(scheme: Scheme, params: SystemParams,
             f = params.p_an_max / total
             alloc = replace(alloc, p_d=alloc.p_d * f, p_bh_u=alloc.p_bh_u * f)
 
-    def g(label):
-        def fn(a):
-            report = constraints(scheme, params, a, tol)
-            try:
-                return report.value(label)
-            except KeyError:
-                return -1.0
-        return fn
-
     # Shrinking the power named on the left drives the labelled violation
     # to zero monotonically (the cross terms only help).
     shrink_field = {"bh_dl": "p_d", "rho_lo": "p_d",
@@ -307,8 +341,8 @@ def repair_start(scheme: Scheme, params: SystemParams,
         for label, value in report.values:
             if value <= tol or label not in shrink_field:
                 continue
-            alloc = _shrink_power(scheme, params, alloc,
-                                  shrink_field[label], g(label), tol)
+            alloc = _shrink_power(alloc, shrink_field[label],
+                                  _row_violation(scheme, params, label))
             progressed = True
         if not progressed:
             break

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 from scipy.optimize import minimize
 
+from selfbackhaul import _kernels
 from selfbackhaul.feasibility import constraints
 from selfbackhaul.model import PowerAllocation, Scheme
 from selfbackhaul.optimizer import (NoFeasiblePointError, OptimizerOptions,
@@ -208,6 +209,96 @@ def test_optimizer_drops_no_constraint(scheme, cell):
         g = problem.constraint_vec(x)
         assert g.size == len(expected) + (2 if params.k_an else 0)
         assert list(g[:len(expected)]) == expected
+
+
+def _separate_central_diff(fun, x):
+    """One central-difference loop over one output, as SLSQP's gradient
+    and Jacobian were computed before they shared their evaluations."""
+    cols = []
+    for i in range(x.size):
+        h = optimizer_mod._FD_STEP * max(1.0, abs(x[i]))
+        xp = x.copy()
+        xm = x.copy()
+        xp[i] += h
+        xm[i] -= h
+        cols.append((fun(xp) - fun(xm)) / (2.0 * h))
+    return np.array(cols).T
+
+
+@pytest.mark.parametrize("scheme", list(Scheme))
+@pytest.mark.parametrize("cell", [{}, {"k_d2d": 1}, {"k_an": 1}],
+                         ids=["reference", "direct-pair", "relayed-pair"])
+def test_derivatives_equal_separate_central_differences(monkeypatch, scheme,
+                                                        cell):
+    # the fused pass is bit-for-bit the two loops it replaces, and costs
+    # one kernel call per perturbed point, once per iterate
+    calls = []
+    real = _kernels.rate_parts
+
+    def counted(*args):
+        calls.append(None)
+        return real(*args)
+
+    monkeypatch.setattr(_kernels, "rate_parts", counted)
+    params = make_params(**cell)
+    problem = _Problem(scheme, params)
+    lo, hi = (np.array(side) for side in zip(*problem.bounds()))
+    rng = np.random.default_rng(5)
+    for _ in range(20):
+        x = rng.uniform(lo, hi)
+        before = len(calls)
+        grad = problem.objective_grad(x)
+        jac = problem.constraint_jac(x)
+        assert len(calls) - before == 2 * problem.dim
+        before = len(calls)
+        assert problem.objective_grad(x) is grad
+        assert problem.constraint_jac(x) is jac
+        assert len(calls) == before
+
+        oracle = _Problem(scheme, params)
+        expected_grad = _separate_central_diff(oracle.objective, x)
+        expected_jac = _separate_central_diff(oracle.constraint_vec, x)
+        assert grad.shape == expected_grad.shape
+        assert jac.shape == expected_jac.shape
+        assert (grad == expected_grad).all()
+        assert (jac == expected_jac).all()
+
+
+@pytest.mark.parametrize("scheme", list(Scheme))
+@pytest.mark.parametrize("cell", [{}, {"k_d2d": 1}, {"k_an": 1}],
+                         ids=["reference", "direct-pair", "relayed-pair"])
+def test_repair_row_equals_report_value(scheme, cell):
+    params = make_params(si_cancellation_db=70, **cell)
+    problem = _Problem(scheme, params)
+    labels = ("bh_dl", "bh_ul", "rho_lo", "rho_hi")
+    rows = {label: optimizer_mod._row_violation(scheme, params, label)
+            for label in labels}
+    violated = set()
+    for index in range(50):
+        alloc = optimizer_mod._draw_start(
+            problem, np.random.default_rng([9, index]))
+        report = constraints(scheme, params, alloc)
+        for label in labels:
+            assert rows[label](alloc) == report.value(label), label
+            if report.value(label) > report.tol:
+                violated.add(label)
+    # the draws exercise the rows repair shrinks, not only satisfied ones
+    assert violated
+
+
+@pytest.mark.parametrize("scheme", list(Scheme))
+def test_repair_returns_feasible_start_or_none(scheme, reference_params):
+    problem = _Problem(scheme, reference_params)
+    repaired = []
+    for index in range(50):
+        raw = optimizer_mod._draw_start(
+            problem, np.random.default_rng([42, index]))
+        alloc = repair_start(scheme, reference_params, raw, 1e-6)
+        if alloc is not None:
+            alloc.check()
+            assert constraints(scheme, reference_params, alloc).feasible
+            repaired.append(alloc)
+    assert repaired
 
 
 def test_reports_carry_plain_python_types(reference_params):
