@@ -9,7 +9,12 @@ report share one encoding.  The nonsmooth ``min`` term contributed by
 AN-relayed pairs is handled through an epigraph auxiliary variable.
 The objective gradient and the constraint Jacobian share one
 central-difference pass per iterate: each perturbed point is evaluated
-once and yields the objective and the slack vector together.
+once and yields the objective and the slack vector together.  The pass
+runs on Python floats, and the epigraph variable, which the rate kernel
+never sees, reuses one kernel call at the iterate, so a pass costs
+2*dim - 1 kernel calls with relayed pairs and 2*dim without.  Repair
+bisects a power on the allocation's values as a plain list and builds
+one allocation per shrink.
 
 The best feasible local maximum over all starts is returned together with
 per-start diagnostics; results are deterministic for a fixed seed.
@@ -17,8 +22,9 @@ per-start diagnostics; results are deterministic for a fixed seed.
 
 from __future__ import annotations
 
+import math
 import warnings
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field, fields, replace
 
 import numpy as np
 from scipy.optimize import minimize
@@ -36,6 +42,7 @@ _BISECT_ITERS = 40
 _REPAIR_MARGIN = 1e-3       # slack (bits/s/Hz) left below repaired boundaries
 _FD_STEP = 1e-6             # relative central-difference step
 _SLSQP_ITERATION_LIMIT = 9  # scipy SLSQP exit status for maxiter reached
+_ALLOC_FIELDS = tuple(f.name for f in fields(PowerAllocation))
 
 
 @dataclass
@@ -165,56 +172,97 @@ class _Problem:
     def eval_point(self, x):
         """(negated objective, constraint slack vector >= 0 when feasible)."""
         # list equality is np.array_equal's elementwise test on a 1-D
-        # array, at a fraction of its cost on this per-call path; the
-        # kernel and the rows then run on Python floats, whose arithmetic
-        # is the same IEEE double arithmetic as np.float64's, only cheaper
+        # array, at a fraction of its cost on this per-call path
         key = x.tolist()
         if key == self._memo_key:
             return self._memo_val
-        p = self.powers(x).tolist()
-        a = (p[0], p[1], p[2], p[3], p[4] if self.has_d2d else 0.0,
-             key[self.eta_idx] if self.has_eta else 0.5)
+        f, g = self._point(self.powers(x).tolist(),
+                           key[self.eta_idx] if self.has_eta else 0.5,
+                           key[self.t_idx] if self.epigraph else None)
+        value = (f, np.asarray(g))
+        self._memo_key = key
+        self._memo_val = value
+        return value
 
-        c_d, c_u, c_d2d, relay_dl, relay_ul, c_bh_d, c_bh_u = (
-            _kernels.rate_parts(self.kid, *self.kargs, *a))
+    def _args(self, p, eta):
+        """The kernel's allocation arguments, in `as_tuple` order."""
+        return (p[0], p[1], p[2], p[3], p[4] if self.has_d2d else 0.0, eta)
+
+    def _point(self, p, eta, t, parts=None):
+        """(negated objective, slack list) at powers ``p``, split ``eta``
+        and epigraph level ``t``, all Python floats.
+
+        The kernel and the rows run on Python floats, whose arithmetic is
+        the same IEEE double arithmetic as np.float64's, only cheaper.
+        ``parts`` are the kernel's rates at ``p`` and ``eta`` when the
+        caller has them: ``t`` does not enter the kernel.
+        """
+        a = self._args(p, eta)
+        if parts is None:
+            parts = _kernels.rate_parts(self.kid, *self.kargs, *a)
+        c_d, c_u, c_d2d, relay_dl, relay_ul, c_bh_d, c_bh_u = parts
 
         obj = c_d + c_u + c_d2d
         c = (c_d, c_u, c_bh_d, c_bh_u)
         g = [slack(c, a) for slack in self._rows]
         if self.epigraph:
-            t = key[self.t_idx]
             obj += self.params.k_an * t
             g.append(relay_dl - t)
             g.append(relay_ul - t)
-
-        value = (-obj, np.asarray(g))
-        self._memo_key = key
-        self._memo_val = value
-        return value
+        return -obj, g
 
     def derivatives(self, x):
         """(objective gradient, constraint Jacobian) by central differences.
 
-        One pass of 2*dim point evaluations gives both, as each evaluation
-        returns the objective and the slack vector together.  SLSQP asks
-        for the gradient and the Jacobian at the same iterate, so the pair
-        is kept for the last point asked for.
+        One pass gives both, as each point evaluation returns the objective
+        and the slack vector together.  The pass runs on Python floats: the
+        perturbed powers of all coordinates come from two array powers,
+        each perturbed point swaps one entry of the base point, and the
+        two epigraph points share one kernel call at the base point, so
+        the pass costs 2*dim - 1 kernel calls with relayed pairs and 2*dim
+        without.  Every step, power and quotient is the one a separate
+        loop over ``eval_point`` computes, so the values are bit-identical
+        to it.  SLSQP asks for the gradient and the Jacobian at the same
+        iterate, so the pair is kept for the last point asked for.
         """
         key = x.tolist()
         if key == self._deriv_key:
             return self._deriv_val
+        n = self.n_powers
+        steps = [_FD_STEP * max(1.0, abs(v)) for v in key]
+        # numpy's power ufunc on an n-length array, as in powers(): a
+        # Python-float power may differ from its SIMD loop in the last bit
+        p = self.powers(x).tolist()
+        up = (10.0 ** (x[:n] + steps[:n])).tolist()
+        down = (10.0 ** (x[:n] - steps[:n])).tolist()
+        eta = key[self.eta_idx] if self.has_eta else 0.5
+        t = key[self.t_idx] if self.epigraph else None
+
         grad = []
         cols = []
-        for i in range(x.size):
-            h = _FD_STEP * max(1.0, abs(x[i]))
-            xp = x.copy()
-            xm = x.copy()
-            xp[i] += h
-            xm[i] -= h
-            f_p, g_p = self.eval_point(xp)
-            f_m, g_m = self.eval_point(xm)
-            grad.append((f_p - f_m) / (2.0 * h))
-            cols.append((g_p - g_m) / (2.0 * h))
+
+        def difference(plus, minus, h):
+            (f_p, g_p), (f_m, g_m) = plus, minus
+            h2 = 2.0 * h
+            grad.append((f_p - f_m) / h2)
+            cols.append([(a - b) / h2 for a, b in zip(g_p, g_m)])
+
+        for i in range(n):
+            q = p.copy()
+            q[i] = up[i]
+            plus = self._point(q, eta, t)
+            q[i] = down[i]
+            difference(plus, self._point(q, eta, t), steps[i])
+        if self.has_eta:
+            h = steps[self.eta_idx]
+            difference(self._point(p, eta + h, t),
+                       self._point(p, eta - h, t), h)
+        if self.epigraph:
+            h = steps[self.t_idx]
+            parts = _kernels.rate_parts(self.kid, *self.kargs,
+                                        *self._args(p, eta))
+            difference(self._point(p, eta, t + h, parts),
+                       self._point(p, eta, t - h, parts), h)
         value = (np.array(grad), np.array(cols).T)
         self._deriv_key = key
         self._deriv_val = value
@@ -262,7 +310,8 @@ def _draw_start(problem: _Problem, rng) -> PowerAllocation:
 
 
 def _row_violation(scheme: Scheme, params: SystemParams, label: str):
-    """``alloc -> constraints(scheme, params, alloc).value(label)``.
+    """``a -> constraints(scheme, params, alloc).value(label)``, where ``a``
+    is ``alloc.as_tuple()`` (or the same values in a list).
 
     The one row is computed from one kernel call, without the rates
     breakdown, the other rows or the report; the caller has validated
@@ -272,8 +321,7 @@ def _row_violation(scheme: Scheme, params: SystemParams, label: str):
     kid = scheme.kernel_id
     kargs = params.kernel_args()
 
-    def violation(alloc):
-        a = alloc.as_tuple()
+    def violation(a):
         c_d, c_u, _, _, _, c_bh_d, c_bh_u = _kernels.rate_parts(
             kid, *kargs, *a)
         return -slack((c_d, c_u, c_bh_d, c_bh_u), a)
@@ -283,24 +331,33 @@ def _row_violation(scheme: Scheme, params: SystemParams, label: str):
 def _shrink_power(alloc, field_name, violation_fn):
     """Bisect a multiplier on one power until the violation clears.
 
-    ``violation_fn`` maps an allocation to a scalar that must become <= 0;
-    it must be non-positive when the chosen power is zero.  The bisection
-    aims slightly below the boundary so that coupled constraints (which the
-    outer repair passes fix one at a time) cannot ping-pong forever.
+    ``violation_fn`` maps an allocation tuple (see `_row_violation`) to a
+    scalar that must become <= 0; it must be non-positive when the chosen
+    power is zero.  The bisection aims slightly below the boundary so that
+    coupled constraints (which the outer repair passes fix one at a time)
+    cannot ping-pong forever.  It runs on the allocation as a list: the
+    other entries come from an allocation that passed `check()`, and each
+    trial power gets that check's domain test, so every trial is a valid
+    allocation without building one; only the result is built.
     """
-    base = getattr(alloc, field_name)
+    a = list(alloc.as_tuple())
+    i = _ALLOC_FIELDS.index(field_name)
+    base = a[i]
     if base <= 0.0:
         return alloc
     lo, hi = 0.0, 1.0
     for _ in range(_BISECT_ITERS):
         mid = 0.5 * (lo + hi)
-        trial = replace(alloc, **{field_name: mid * base})
-        trial.check()
-        if violation_fn(trial) > -_REPAIR_MARGIN:
+        a[i] = value = mid * base
+        if not math.isfinite(value) or value < 0.0:
+            raise ValueError(
+                f"{field_name} must be finite and >= 0, got {value}")
+        if violation_fn(a) > -_REPAIR_MARGIN:
             hi = mid
         else:
             lo = mid
-    return replace(alloc, **{field_name: lo * base})
+    a[i] = lo * base
+    return PowerAllocation(*a)
 
 
 def repair_start(scheme: Scheme, params: SystemParams,

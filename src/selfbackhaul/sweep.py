@@ -142,6 +142,8 @@ def _row(value, scheme, rb, optimized, clamped, converged):
 def run_sweep(spec: SweepSpec, jobs: int = 1) -> list:
     """Evaluate the sweep grid; deterministic for fixed optimizer seeds."""
     spec.check()
+    if jobs < 1:
+        raise ConfigError(f"jobs must be >= 1, got {jobs}")
     if jobs > 1:
         with ProcessPoolExecutor(max_workers=jobs) as pool:
             chunks = list(pool.map(_rows_for_point, [spec] * len(spec.axis),

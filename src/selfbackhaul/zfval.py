@@ -128,6 +128,7 @@ def wishart_trace_check(n_t: int, m: int, trials: int, seed: int) -> CheckResult
     """
     if n_t <= m + 1:
         raise ValueError("need n_t > m + 1")
+    _check_trials(trials)
     rng = np.random.default_rng(seed)
     total = 0.0
     done = 0
@@ -154,6 +155,7 @@ def column_norm_check(n_t: int, m_t: int, n_r: int, trials: int, seed: int,
     dof = n_t - rows
     if dof <= 0:
         raise ValueError("not enough antennas to zero-force this stack")
+    _check_trials(trials)
 
     rng = np.random.default_rng(seed)
     total = 0.0
@@ -188,6 +190,7 @@ def exactness_check(n_t: int, m_t: int, n_r: int, trials: int,
     ``||H_s W||_F / ||H_s||_F`` over the sampled draws (both ~solver
     round-off, checked against 0).
     """
+    _check_trials(trials)
     rng = np.random.default_rng(seed)
     worst_offdiag = 0.0
     worst_null = 0.0
@@ -332,6 +335,11 @@ def _stack_signal_means(stack: _Stack, trials: int, rng):
                               if group.count else 0.0)
         offset += group.count
     return means
+
+
+def _check_trials(trials: int):
+    if trials < 1:
+        raise ValueError(f"need at least 1 trial, got {trials}")
 
 
 def _check_rejections(rejected: int, trials: int):

@@ -1,5 +1,8 @@
 """Multi-start optimizer behavior: determinism, orderings, baselines."""
 
+from dataclasses import replace
+
+from hypothesis import given, settings, strategies as st
 import numpy as np
 import pytest
 from scipy.optimize import minimize
@@ -225,13 +228,10 @@ def _separate_central_diff(fun, x):
     return np.array(cols).T
 
 
-@pytest.mark.parametrize("scheme", list(Scheme))
-@pytest.mark.parametrize("cell", [{}, {"k_d2d": 1}, {"k_an": 1}],
-                         ids=["reference", "direct-pair", "relayed-pair"])
-def test_derivatives_equal_separate_central_differences(monkeypatch, scheme,
-                                                        cell):
+def _check_derivatives(monkeypatch, scheme, params, xs):
     # the fused pass is bit-for-bit the two loops it replaces, and costs
-    # one kernel call per perturbed point, once per iterate
+    # one kernel call per perturbed point, once per iterate, except that
+    # the two epigraph points share one call at the iterate
     calls = []
     real = _kernels.rate_parts
 
@@ -240,16 +240,13 @@ def test_derivatives_equal_separate_central_differences(monkeypatch, scheme,
         return real(*args)
 
     monkeypatch.setattr(_kernels, "rate_parts", counted)
-    params = make_params(**cell)
     problem = _Problem(scheme, params)
-    lo, hi = (np.array(side) for side in zip(*problem.bounds()))
-    rng = np.random.default_rng(5)
-    for _ in range(20):
-        x = rng.uniform(lo, hi)
+    for x in xs:
         before = len(calls)
         grad = problem.objective_grad(x)
         jac = problem.constraint_jac(x)
-        assert len(calls) - before == 2 * problem.dim
+        assert len(calls) - before == (2 * problem.dim
+                                       - (1 if params.k_an else 0))
         before = len(calls)
         assert problem.objective_grad(x) is grad
         assert problem.constraint_jac(x) is jac
@@ -267,6 +264,42 @@ def test_derivatives_equal_separate_central_differences(monkeypatch, scheme,
 @pytest.mark.parametrize("scheme", list(Scheme))
 @pytest.mark.parametrize("cell", [{}, {"k_d2d": 1}, {"k_an": 1}],
                          ids=["reference", "direct-pair", "relayed-pair"])
+def test_derivatives_equal_separate_central_differences(monkeypatch, scheme,
+                                                        cell):
+    params = make_params(**cell)
+    lo, hi = (np.array(side) for side in
+              zip(*_Problem(scheme, params).bounds()))
+    rng = np.random.default_rng(5)
+    xs = [rng.uniform(lo, hi) for _ in range(20)]
+    _check_derivatives(monkeypatch, scheme, params, xs)
+
+
+@st.composite
+def _cells_and_points(draw):
+    """A random valid cell and scheme, with a random point in its boxes."""
+    m_bh_t = draw(st.integers(1, 6))
+    pairs = draw(st.sampled_from(["k_an", "k_d2d"]))
+    params = make_params(
+        si_cancellation_db=draw(st.floats(60.0, 140.0)),
+        m_bh_t=m_bh_t, m_bh_r=2 * m_bh_t, **{pairs: draw(st.integers(0, 3))})
+    scheme = draw(st.sampled_from(list(Scheme)))
+    bounds = _Problem(scheme, params).bounds()
+    x = np.array([draw(st.floats(lo, hi)) for lo, hi in bounds])
+    return scheme, params, x
+
+
+@settings(derandomize=True, deadline=None)
+@given(_cells_and_points())
+def test_derivatives_equal_separate_central_differences_on_random_cells(
+        cell_and_point):
+    scheme, params, x = cell_and_point
+    with pytest.MonkeyPatch.context() as monkeypatch:
+        _check_derivatives(monkeypatch, scheme, params, [x])
+
+
+@pytest.mark.parametrize("scheme", list(Scheme))
+@pytest.mark.parametrize("cell", [{}, {"k_d2d": 1}, {"k_an": 1}],
+                         ids=["reference", "direct-pair", "relayed-pair"])
 def test_repair_row_equals_report_value(scheme, cell):
     params = make_params(si_cancellation_db=70, **cell)
     problem = _Problem(scheme, params)
@@ -279,26 +312,58 @@ def test_repair_row_equals_report_value(scheme, cell):
             problem, np.random.default_rng([9, index]))
         report = constraints(scheme, params, alloc)
         for label in labels:
-            assert rows[label](alloc) == report.value(label), label
+            assert (rows[label](alloc.as_tuple())
+                    == report.value(label)), label
             if report.value(label) > report.tol:
                 violated.add(label)
     # the draws exercise the rows repair shrinks, not only satisfied ones
     assert violated
 
 
+def _replace_bisection(shrinks):
+    """The bisection on `PowerAllocation` objects that repair ran before it
+    bisected a tuple: each trial is built by `dataclasses.replace` and
+    passes `check()`.  Appends each shrunk field to ``shrinks``."""
+    def shrink_power(alloc, field_name, violation_fn):
+        shrinks.append(field_name)
+        base = getattr(alloc, field_name)
+        if base <= 0.0:
+            return alloc
+        lo, hi = 0.0, 1.0
+        for _ in range(optimizer_mod._BISECT_ITERS):
+            mid = 0.5 * (lo + hi)
+            trial = replace(alloc, **{field_name: mid * base})
+            trial.check()
+            if violation_fn(trial.as_tuple()) > -optimizer_mod._REPAIR_MARGIN:
+                hi = mid
+            else:
+                lo = mid
+        return replace(alloc, **{field_name: lo * base})
+    return shrink_power
+
+
 @pytest.mark.parametrize("scheme", list(Scheme))
-def test_repair_returns_feasible_start_or_none(scheme, reference_params):
+def test_repair_returns_feasible_start_or_none(monkeypatch, scheme,
+                                               reference_params):
     problem = _Problem(scheme, reference_params)
+    shrinks = []
     repaired = []
     for index in range(50):
         raw = optimizer_mod._draw_start(
             problem, np.random.default_rng([42, index]))
         alloc = repair_start(scheme, reference_params, raw, 1e-6)
+        with monkeypatch.context() as patch:
+            patch.setattr(optimizer_mod, "_shrink_power",
+                          _replace_bisection(shrinks))
+            expected = repair_start(scheme, reference_params, raw, 1e-6)
+        assert alloc == expected
         if alloc is not None:
             alloc.check()
             assert constraints(scheme, reference_params, alloc).feasible
             repaired.append(alloc)
     assert repaired
+    # the starts exercise the bisection on both powers repair shrinks
+    assert set(shrinks) == {"p_d", "p_u"}
 
 
 def test_reports_carry_plain_python_types(reference_params):

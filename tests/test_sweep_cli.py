@@ -253,3 +253,27 @@ def test_cli_validate_zf(tmp_path, capsys):
     assert text.startswith("check,empirical,closed_form,rel_error")
     assert "wishart_trace" in text and "sinr_hd_dl" in text
     assert "precoder_column_norm" in capsys.readouterr().out
+
+
+@pytest.mark.parametrize("trials", ["0", "-5"])
+def test_cli_validate_zf_rejects_non_positive_trials(trials, capsys):
+    code = cli.main(["validate-zf", "--trials", trials])
+    assert code == 1
+    assert f"error: need at least 1 trial, got {trials}" in (
+        capsys.readouterr().err)
+
+
+@pytest.mark.parametrize("jobs", ["0", "-2"])
+def test_cli_sweep_rejects_non_positive_jobs(tmp_path, jobs, capsys):
+    base = _write_reference_config(tmp_path)
+    spec_file = tmp_path / "sweep.cfg"
+    spec_file.write_text(
+        f"kind = si_cancellation\naxis = 120\nparams = {base}\n"
+        "schemes = hd\ninclude_baseline = false\nn_starts = 1\n",
+        encoding="utf-8")
+    out = tmp_path / "rows.csv"
+    code = cli.main(["sweep", "--spec", str(spec_file), "--out", str(out),
+                     "--jobs", jobs])
+    assert code == 1
+    assert f"error: jobs must be >= 1, got {jobs}" in capsys.readouterr().err
+    assert not out.exists()

@@ -85,6 +85,17 @@ def test_wishart_closed_form_minimal_case():
         zfval.wishart_trace_check(2, 1, trials=100, seed=0)
 
 
+@pytest.mark.parametrize("check", [
+    lambda trials: zfval.wishart_trace_check(40, 20, trials, seed=0),
+    lambda trials: zfval.column_norm_check(40, 4, 16, trials, seed=0),
+    lambda trials: zfval.exactness_check(40, 4, 16, trials, seed=0),
+], ids=["wishart_trace", "column_norm", "exactness"])
+@pytest.mark.parametrize("trials", [0, -5])
+def test_checks_need_at_least_one_trial(check, trials):
+    with pytest.raises(ValueError, match="at least 1 trial"):
+        check(trials)
+
+
 def test_wishart_check_deterministic():
     a = zfval.wishart_trace_check(40, 20, trials=2000, seed=11)
     b = zfval.wishart_trace_check(40, 20, trials=2000, seed=11)
