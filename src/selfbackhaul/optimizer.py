@@ -150,9 +150,9 @@ class _Problem:
         return 10.0 ** x[:self.n_powers]
 
     def to_alloc(self, x) -> PowerAllocation:
-        p = self.powers(x)
+        p = self.powers(x).tolist()
         p_u_d2d = p[4] if self.has_d2d else 0.0
-        eta = x[self.eta_idx] if self.has_eta else 0.5
+        eta = float(x[self.eta_idx]) if self.has_eta else 0.5
         return PowerAllocation(p_d=p[0], p_u=p[1], p_bh_d=p[2], p_bh_u=p[3],
                                p_u_d2d=p_u_d2d, eta=eta)
 

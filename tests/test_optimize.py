@@ -372,6 +372,13 @@ def test_reports_carry_plain_python_types(reference_params):
     assert all(type(s.feasible) is bool for s in result.starts)
     assert type(result.best_report.feasible) is bool
     assert type(result.best_report.max_violation) is float
+    # the optimum and the objectives too, for a scheme that carries eta
+    hd = optimize(Scheme.HALF_DUPLEX, reference_params,
+                  OptimizerOptions(n_starts=5))
+    for res in (result, hd):
+        assert all(type(value) is float for value in res.best_alloc.as_tuple())
+        assert type(res.best_rates.c_s) is float
+        assert all(type(s.objective) is float for s in res.starts)
 
 
 def test_single_intra_cell_pair_costs_a_little_either_way():

@@ -32,6 +32,115 @@ def test_draw_gain_length_mismatch():
         zfval.draw_channel(40, 16, 4, np.ones(19), seed=1)
 
 
+@pytest.mark.parametrize("bad", [0.0, -1.0, np.inf, np.nan])
+def test_gains_must_be_positive_and_finite(bad):
+    gains = np.ones(20)
+    gains[3] = bad
+    with pytest.raises(ValueError, match="positive and finite"):
+        zfval.draw_channel(40, 16, 4, gains, seed=1)
+    with pytest.raises(ValueError, match="positive and finite"):
+        zfval.column_norm_check(40, 4, 16, 10, seed=1, gains=gains)
+
+
+@pytest.mark.parametrize("shape", [(512, 20, 40), (512, 40, 80)],
+                         ids=["x1", "x2"])
+def test_complex_rows_equal_complex_expression(shape):
+    count, m, n = shape
+    gains = np.geomspace(1e-10, 1.0, m)
+    z = zfval._complex_rows(np.random.default_rng(8), count, m, n, gains)
+    rng = np.random.default_rng(8)
+    a = rng.standard_normal(shape)
+    b = rng.standard_normal(shape)
+    old = (a + 1j * b) * np.sqrt(gains / 2.0)[None, :, None]
+    assert np.array_equal(z.view(float), old.view(float))
+
+
+def _eigenvalue_path(h, gains):
+    """eigvalsh + inv(gram[ok]) on the gain-normalized Gram matrix."""
+    gram = h @ h.conj().transpose(0, 2, 1)
+    r = np.sqrt(gains)
+    eigs = np.linalg.eigvalsh(gram / (r[:, None] * r[None, :]))
+    ok = (eigs[:, 0] > 0.0) & (eigs[:, -1] / eigs[:, 0] <= 1e10)
+    return ok, np.linalg.inv(gram[ok]).diagonal(axis1=1, axis2=2).real
+
+
+def _assert_same_as_eigenvalue_path(h, gains):
+    ok, diag = zfval._inverse_diagonals(h, gains)
+    ok_ref, diag_ref = _eigenvalue_path(h, gains)
+    assert np.array_equal(ok, ok_ref)
+    assert np.array_equal(diag, diag_ref)
+    return ok
+
+
+def _spy_eigenvalue_rule(monkeypatch):
+    """Record the verdicts of the eigenvalue rule on the draws it sees."""
+    seen = []
+    rule = zfval._well_conditioned
+
+    def spy(gram, gains):
+        ok = rule(gram, gains)
+        seen.extend(ok.tolist())
+        return ok
+    monkeypatch.setattr(zfval, "_well_conditioned", spy)
+    return seen
+
+
+@pytest.mark.parametrize("rows,n", [(20, 40), (40, 80)], ids=["x1", "x2"])
+@pytest.mark.parametrize("mixed", [False, True], ids=["unit", "mixed"])
+def test_inverse_diagonals_equal_eigenvalue_path_on_draws(rows, n, mixed,
+                                                          monkeypatch):
+    # mixed: UE rows at 90 dB path loss beside the AN's own receive rows
+    gains = np.ones(rows)
+    if mixed:
+        gains[:rows // 5] = 1e-9
+    seen = _spy_eigenvalue_rule(monkeypatch)
+    rng = np.random.default_rng(11)
+    for _ in range(2):
+        h = zfval._complex_rows(rng, 512, rows, n, gains)
+        assert _assert_same_as_eigenvalue_path(h, gains).all()
+    assert seen == []   # every draw certified by the norm bound
+
+
+def _built_draws(rng, conds, m, n, gains):
+    """Rows whose gain-normalized Gram matrix is U diag(lam) U^H."""
+    h = []
+    for cond in conds:
+        u, _ = np.linalg.qr(rng.standard_normal((m, m))
+                            + 1j * rng.standard_normal((m, m)))
+        v, _ = np.linalg.qr(rng.standard_normal((n, m))
+                            + 1j * rng.standard_normal((n, m)))
+        lam = np.geomspace(1.0, 1.0 / cond, m)
+        h.append(np.sqrt(gains)[:, None] * (u * np.sqrt(lam)) @ v.conj().T)
+    return np.array(h)
+
+
+@pytest.mark.parametrize("mixed", [False, True], ids=["unit", "mixed"])
+def test_inverse_diagonals_equal_eigenvalue_path_near_the_limit(mixed,
+                                                                monkeypatch):
+    gains = np.ones(8)
+    if mixed:
+        gains[:4] = 1e-8
+    seen = _spy_eigenvalue_rule(monkeypatch)
+    conds = np.geomspace(1e8, 1e12, 41)
+    h = _built_draws(np.random.default_rng(4), conds, 8, 20, gains)
+    ok = _assert_same_as_eigenvalue_path(h, gains)
+    # the well-conditioned end is certified by the norm bound; the rest
+    # reaches the eigenvalue rule, which keeps some draws and rejects others
+    assert ok[0] and 0 < len(seen) < len(conds)
+    assert any(seen) and not all(seen)
+
+
+def test_inverse_diagonals_equal_eigenvalue_path_on_singular_chunk():
+    gains = np.ones(20)
+    h = zfval._complex_rows(np.random.default_rng(6), 64, 20, 40, gains)
+    h[9, 1] = h[9, 0]
+    gram = h @ h.conj().transpose(0, 2, 1)
+    with pytest.raises(np.linalg.LinAlgError):
+        np.linalg.inv(gram)
+    ok = _assert_same_as_eigenvalue_path(h, gains)
+    assert not ok[9] and np.sum(ok) == 63
+
+
 @pytest.mark.parametrize("seed", [0, 1, 2])
 def test_precoder_exact_nulling_and_diagonal(seed):
     gains = np.ones(20)
@@ -54,6 +163,14 @@ def test_precoder_hd_mode_skips_si_rows():
     assert np.allclose(sample.lam, np.sqrt(1e-8 * (40 - 4)))
     assert np.allclose(np.diagonal(draw.h_t @ sample.w), sample.lam,
                        rtol=1e-10)
+
+
+def test_precoder_condition_test_ignores_path_gains():
+    # UE rows at 110 dB path loss stacked on the AN's own receive rows
+    gains = np.concatenate([np.full(4, 1e-11), np.ones(16)])
+    draw = zfval.draw_channel(40, 16, 4, gains, seed=3)
+    sample = zfval.zf_precoder(draw, mode="fd-null")
+    assert np.allclose(sample.lam, np.sqrt(1e-11 * (40 - 4 - 16)))
 
 
 def test_precoder_requires_antenna_margin():
@@ -160,6 +277,23 @@ def test_empirical_sinr_zero_power_exact(small_cell):
                                             alloc, trials=1000, seed=4):
         assert check.empirical == 0.0 and check.closed_form == 0.0
         assert check.rel_error == 0.0
+
+
+@pytest.mark.parametrize("scheme", list(Scheme), ids=lambda s: s.value)
+def test_empirical_sinr_independent_of_ue_path_loss(scheme, small_cell):
+    # the draws differ only by a row scaling, so every link's relative
+    # error is the 80 dB one; none is rejected as ill-conditioned
+    _, alloc = small_cell
+    at_80 = zfval.empirical_sinr_check(params_from_db(SMALL_DB), scheme,
+                                       alloc, trials=1000, seed=42)
+    for l_ue_db in (90, 95, 100):
+        params = params_from_db(dict(SMALL_DB, l_ue_db=l_ue_db))
+        results = zfval.empirical_sinr_check(params, scheme, alloc,
+                                             trials=1000, seed=42)
+        assert [r.label for r in results] == [r.label for r in at_80]
+        for result, ref in zip(results, at_80):
+            assert result.rel_error == pytest.approx(ref.rel_error,
+                                                     rel=1e-12, abs=0.0)
 
 
 def test_empirical_sinr_needs_enough_trials(small_cell):
