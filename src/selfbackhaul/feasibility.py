@@ -12,7 +12,9 @@ the tolerance.  Labels are emitted in a fixed order:
 
 Constraints that do not apply to a configuration are omitted: the D2D
 power cap when there are no direct pairs, the rate-ratio pair when either
-link carries no out-of-cell users, and the eta bounds for full duplex.
+link carries no out-of-cell users, and the eta bounds when `model.links`
+finds no time split; it also says whether ``p_d + p_bh_u`` or the larger
+of the two must fit the AN budget.
 """
 
 from __future__ import annotations
@@ -20,7 +22,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from functools import lru_cache
 
-from .model import PowerAllocation, Scheme, SystemParams
+from .model import PowerAllocation, Scheme, SystemParams, links
 from .rates import rates
 
 DEFAULT_TOL = 1e-6
@@ -60,15 +62,14 @@ def slack_rows(scheme: Scheme, params: SystemParams) -> tuple:
     instance, so they are built once per instance rather than on each of
     the many evaluations that repair and the solver make.
     """
+    scheme_links = links(scheme, params)
     p_an, p_ue, p_bn = params.p_an_max, params.p_ue_max, params.p_bh_d_max
     rows = [("bh_dl", lambda c, a: c[2] - c[0]),
             ("bh_ul", lambda c, a: c[3] - c[1])]
-    if scheme is Scheme.HYBRID_RELAY:
-        # DL and outgoing-backhaul transmissions occupy disjoint time
-        # slots, so only the larger of the two powers must fit the budget.
-        rows.append(("pwr_an", lambda c, a: p_an - max(a[0], a[3])))
-    else:
+    if scheme_links.shared_budget:
         rows.append(("pwr_an", lambda c, a: p_an - a[0] - a[3]))
+    else:
+        rows.append(("pwr_an", lambda c, a: p_an - max(a[0], a[3])))
     rows.append(("pwr_ue_ul", lambda c, a: p_ue - a[1]))
     if params.k_d2d > 0:
         rows.append(("pwr_ue_d2d", lambda c, a: p_ue - a[4]))
@@ -77,7 +78,7 @@ def slack_rows(scheme: Scheme, params: SystemParams) -> tuple:
         rho_min, rho_max = params.rho_min, params.rho_max
         rows.append(("rho_lo", lambda c, a: c[1] - rho_min * c[0]))
         rows.append(("rho_hi", lambda c, a: rho_max * c[0] - c[1]))
-    if scheme is not Scheme.FULL_DUPLEX:
+    if scheme_links.time_split:
         rows.append(("eta_lo", lambda c, a: a[5]))
         rows.append(("eta_hi", lambda c, a: 1.0 - a[5]))
     return tuple(rows)

@@ -1,4 +1,5 @@
-"""Cell parameters, power allocations and structural validation.
+"""Cell parameters, power allocations, the scheme slot table and
+structural validation.
 
 All quantities are stored in linear units internally (powers in mW, path
 gains and SI attenuation as dimensionless gains in (0, 1]).  Configuration
@@ -11,6 +12,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from enum import Enum
+from functools import lru_cache
 from pathlib import Path
 from typing import Mapping
 
@@ -41,12 +43,23 @@ class Scheme(str, Enum):
         except ValueError:
             raise ConfigError(f"unknown scheme {text!r} (expected fd, hd or rl)")
 
-    @property
-    def kernel_id(self) -> int:
-        return _KERNEL_IDS[self]
+
+# Time slots, coded as indices of the time weights (1, eta, 1 - eta).
+ALWAYS, ETA, ONE_MINUS_ETA = 0, 1, 2
+
+# The one way the schemes differ: the slot of each AN link (DL, UL,
+# incoming backhaul, outgoing backhaul).  UL UEs, D2D ones included, send
+# in the UL slot.
+SLOTS = {
+    Scheme.FULL_DUPLEX: (ALWAYS, ALWAYS, ALWAYS, ALWAYS),
+    Scheme.HALF_DUPLEX: (ETA, ONE_MINUS_ETA, ONE_MINUS_ETA, ETA),
+    Scheme.HYBRID_RELAY: (ETA, ONE_MINUS_ETA, ETA, ONE_MINUS_ETA),
+}
 
 
-_KERNEL_IDS = {Scheme.FULL_DUPLEX: 0, Scheme.HALF_DUPLEX: 1, Scheme.HYBRID_RELAY: 2}
+def _overlap(a, b) -> bool:
+    """Whether links in slots ``a`` and ``b`` are ever on at once."""
+    return a == ALWAYS or b == ALWAYS or a == b
 
 
 @dataclass(frozen=True)
@@ -75,12 +88,6 @@ class SystemParams:
     alpha: float        # residual SI attenuation (linear)
     rho_min: float      # lower UL/DL rate-ratio bound
     rho_max: float      # upper UL/DL rate-ratio bound
-
-    def kernel_args(self):
-        """Positional argument tuple shared by all `_kernels` functions."""
-        return (self.n_t, self.n_r, self.m_bh_t, self.m_bh_r,
-                self.d, self.u, self.k_d2d, self.k_an,
-                self.sigma_n2, self.l_ue, self.l_ud, self.l_bh, self.alpha)
 
 
 @dataclass(frozen=True)
@@ -225,36 +232,80 @@ def validate(params: SystemParams, scheme: Scheme) -> list:
         v.append(f"rho bounds must satisfy 0 < rho_min <= rho_max, "
                  f"got [{p.rho_min}, {p.rho_max}]")
 
-    if scheme is Scheme.FULL_DUPLEX:
-        dof_t = p.n_t - p.d - p.m_bh_t - p.n_r
-        if dof_t <= 0:
-            v.append(f"FD transmit DoF <= 0 (n_t - d - m_bh_t - n_r = {dof_t})")
-        dof_r = p.n_r - p.u - p.m_bh_r
-        if dof_r <= 0:
-            v.append(f"FD receive DoF <= 0 (n_r - u - m_bh_r = {dof_r})")
-    elif scheme is Scheme.HALF_DUPLEX:
-        dof_t = p.n_t - p.d + p.k_d2d - p.m_bh_t
-        if dof_t <= 0:
-            v.append(f"HD transmit DoF <= 0 (n_t - d + k_d2d - m_bh_t = {dof_t})")
-        dof_r = p.n_r - p.u - p.m_bh_r
-        if dof_r <= 0:
-            v.append(f"HD receive DoF <= 0 (n_r - u - m_bh_r = {dof_r})")
-    else:
-        dof_dl = p.n_t - p.d + p.k_d2d - p.n_r
-        if dof_dl <= 0:
-            v.append(f"RL DL transmit DoF <= 0 (n_t - d + k_d2d - n_r = {dof_dl})")
-        dof_bh = p.n_t - p.m_bh_t - p.k_d2d - p.n_r
-        if dof_bh <= 0:
-            v.append("RL backhaul transmit DoF <= 0 "
-                     f"(n_t - m_bh_t - k_d2d - n_r = {dof_bh})")
-        dof_ul = p.n_r - p.u
-        if dof_ul <= 0:
-            v.append(f"RL UL receive DoF <= 0 (n_r - u = {dof_ul})")
-        dof_bhr = p.n_r - p.m_bh_r
-        if dof_bhr <= 0:
-            v.append(f"RL backhaul receive DoF <= 0 (n_r - m_bh_r = {dof_bhr})")
+    for name, formula, dof in links(scheme, params).dof_checks:
+        if dof <= 0:
+            v.append(f"{name} <= 0 ({formula} = {dof})")
 
     return v
+
+
+@dataclass(frozen=True)
+class Links:
+    """What the slot table implies for one (scheme, params) instance."""
+
+    dof_checks: tuple     # (name, formula, DoF) of each distinct link DoF
+    time_split: bool      # eta is a variable: some link is not always on
+    shared_budget: bool   # p_d and p_bh_u are on at once, sharing p_an_max
+    kernel: tuple         # coefficients of `_kernels.rate_parts`
+
+
+def _dof(base, count, terms):
+    """(formula, DoF): ``count`` less the rows of each term that is on."""
+    terms = [(text, rows) for text, rows, on in terms if on]
+    return (base + "".join(f" - {text}" for text, _ in terms),
+            count - sum(rows for _, rows in terms))
+
+
+@lru_cache(maxsize=64)
+def links(scheme: Scheme, params: SystemParams) -> Links:
+    """Derive the instance's DoFs, interference, time weights and AN budget
+    rule from its row of `SLOTS`, once per instance."""
+    p = params
+    dl, ul, bh_in, bh_out = slots = SLOTS[scheme]
+
+    def transmit(slot):
+        # n_t less a row per receiver the AN zero-forces in the slot: DL
+        # streams, D2D receivers (DL UEs listening in the UL slot),
+        # backhaul streams and, when it receives, its receive antennas
+        on_dl, on_ul = _overlap(dl, slot), _overlap(ul, slot)
+        return _dof("n_t", p.n_t, [
+            ("d", p.d, on_dl and on_ul),
+            ("d + k_d2d", p.d - p.k_d2d, on_dl and not on_ul),
+            ("m_bh_t", p.m_bh_t, _overlap(bh_out, slot)),
+            ("k_d2d", p.k_d2d, on_ul and not on_dl),
+            ("n_r", p.n_r, on_ul or _overlap(bh_in, slot))])
+
+    def receive(slot):
+        # n_r less a row per stream the AN hears in the slot
+        return _dof("n_r", p.n_r, [("u", p.u, _overlap(ul, slot)),
+                                   ("m_bh_r", p.m_bh_r, _overlap(bh_in, slot))])
+
+    def checks(side, dof, first, second):
+        # two links in one slot have one DoF, checked once
+        named = ([(side, first[1])] if first[1] == second[1] else
+                 [(f"{link} {side}", slot) for link, slot in (first, second)])
+        return [(f"{scheme.value.upper()} {label} DoF", *dof(slot))
+                for label, slot in named]
+
+    def an_power(slot):
+        # 0/1 flags of the AN transmit powers (p_d, p_bh_u) on in the slot
+        return float(_overlap(dl, slot)), float(_overlap(bh_out, slot))
+
+    dof = (transmit(dl)[1], receive(ul)[1], receive(bh_in)[1],
+           transmit(bh_out)[1])
+    l_ud_dl = p.l_ud if _overlap(dl, ul) else 0.0   # UL UEs reach DL UEs
+    return Links(
+        dof_checks=tuple(
+            checks("transmit", transmit, ("DL", dl), ("backhaul", bh_out))
+            + checks("receive", receive, ("UL", ul), ("backhaul", bh_in))),
+        time_split=any(slot != ALWAYS for slot in slots),
+        shared_budget=_overlap(dl, bh_out),
+        # in the order `_kernels.sinr_tuple` unpacks them
+        kernel=(p.k_d2d, p.d - p.k_d2d, p.d - p.k_d2d - p.k_an,
+                p.u - p.k_d2d - p.k_an, p.m_bh_r, p.m_bh_t, p.sigma_n2,
+                p.l_ud, p.alpha, p.l_ue * dof[0], p.l_ue * dof[1],
+                p.l_bh * dof[2], p.l_bh * dof[3], l_ud_dl * (p.u - p.k_d2d),
+                l_ud_dl * p.k_d2d, *an_power(ul), *an_power(bh_in), *slots))
 
 
 def require_valid(params: SystemParams, scheme: Scheme):

@@ -5,8 +5,9 @@ repairs obvious constraint violations by shrinking the offending powers,
 and then runs an SLSQP solve on box-bounded variables (powers in log10
 space).  The constraints are the rows of `feasibility.slack_rows` that
 the variable boxes do not enforce, so the solver and the feasibility
-report share one encoding.  The nonsmooth ``min`` term contributed by
-AN-relayed pairs is handled through an epigraph auxiliary variable.
+report share one encoding; `model.links` says whether ``eta`` is a
+variable.  The nonsmooth ``min`` term contributed by AN-relayed pairs is
+handled through an epigraph auxiliary variable.
 The objective gradient and the constraint Jacobian share one
 central-difference pass per iterate: each perturbed point is evaluated
 once and yields the objective and the slack vector together.  The pass
@@ -32,7 +33,8 @@ from scipy.optimize import minimize
 from . import _kernels
 from .feasibility import (ConstraintReport, constraints, rho_applicable,
                           slack_rows)
-from .model import PowerAllocation, Scheme, SystemParams, require_valid
+from .model import (PowerAllocation, Scheme, SystemParams, links,
+                    require_valid)
 from .rates import RateBreakdown, rates
 
 _P_START_FLOOR_MW = 1e-3    # lower edge of the log-uniform start range
@@ -102,20 +104,18 @@ class _Problem:
     """
 
     def __init__(self, scheme: Scheme, params: SystemParams):
-        self.scheme = scheme
         self.params = params
-        self.kid = scheme.kernel_id
-        self.kargs = params.kernel_args()
+        scheme_links = links(scheme, params)
+        self.kernel = scheme_links.kernel
 
         self.has_d2d = params.k_d2d > 0
-        self.has_eta = scheme is not Scheme.FULL_DUPLEX
+        self.has_eta = scheme_links.time_split
         self.epigraph = params.k_an > 0
 
-        # The boxes below enforce the power caps and the time split.  RL
-        # transmits DL and outgoing backhaul in disjoint slots, so its AN
-        # budget reduces to the p_d and p_bh_u boxes as well.
+        # The boxes below enforce the power caps and the time split, and
+        # the AN budget too when p_d and p_bh_u are never on at once.
         boxed = {"pwr_ue_ul", "pwr_ue_d2d", "pwr_bn", "eta_lo", "eta_hi"}
-        if scheme is Scheme.HYBRID_RELAY:
+        if not scheme_links.shared_budget:
             boxed.add("pwr_an")
         self._rows = [_scaled(slack, params.p_an_max) if label == "pwr_an"
                       else slack
@@ -199,7 +199,7 @@ class _Problem:
         """
         a = self._args(p, eta)
         if parts is None:
-            parts = _kernels.rate_parts(self.kid, *self.kargs, *a)
+            parts = _kernels.rate_parts(self.kernel, *a)
         c_d, c_u, c_d2d, relay_dl, relay_ul, c_bh_d, c_bh_u = parts
 
         obj = c_d + c_u + c_d2d
@@ -259,8 +259,7 @@ class _Problem:
                        self._point(p, eta - h, t), h)
         if self.epigraph:
             h = steps[self.t_idx]
-            parts = _kernels.rate_parts(self.kid, *self.kargs,
-                                        *self._args(p, eta))
+            parts = _kernels.rate_parts(self.kernel, *self._args(p, eta))
             difference(self._point(p, eta, t + h, parts),
                        self._point(p, eta, t - h, parts), h)
         value = (np.array(grad), np.array(cols).T)
@@ -318,12 +317,10 @@ def _row_violation(scheme: Scheme, params: SystemParams, label: str):
     ``params`` and each allocation.
     """
     slack = dict(slack_rows(scheme, params))[label]
-    kid = scheme.kernel_id
-    kargs = params.kernel_args()
+    kernel = links(scheme, params).kernel
 
     def violation(a):
-        c_d, c_u, _, _, _, c_bh_d, c_bh_u = _kernels.rate_parts(
-            kid, *kargs, *a)
+        c_d, c_u, _, _, _, c_bh_d, c_bh_u = _kernels.rate_parts(kernel, *a)
         return -slack((c_d, c_u, c_bh_d, c_bh_u), a)
     return violation
 
@@ -364,10 +361,10 @@ def repair_start(scheme: Scheme, params: SystemParams,
                  alloc: PowerAllocation, tol: float):
     """Project a random start into the feasible set, or return None.
 
-    The AN power pair is rescaled onto its budget, then rate-coupled
-    violations (backhaul capacity, rate-ratio bounds) are cleared by
-    bisecting the offending power toward zero, iterating a few passes
-    because the schemes couple the links through interference.
+    The AN power pair is rescaled onto its budget when the two share it,
+    then rate-coupled violations (backhaul capacity, rate-ratio bounds)
+    are cleared by bisecting the offending power toward zero, iterating a
+    few passes because the schemes couple the links through interference.
     """
     # the bisections evaluate their one row on the kernel directly
     require_valid(params, scheme)
@@ -380,7 +377,7 @@ def repair_start(scheme: Scheme, params: SystemParams,
         p_u_d2d=min(alloc.p_u_d2d, params.p_ue_max),
         eta=min(max(alloc.eta, 0.0), 1.0),
     )
-    if scheme is not Scheme.HYBRID_RELAY:
+    if links(scheme, params).shared_budget:
         total = alloc.p_d + alloc.p_bh_u
         if total > params.p_an_max:
             f = params.p_an_max / total
@@ -437,8 +434,7 @@ def optimize(scheme: Scheme, params: SystemParams,
 
         t0 = None
         if problem.epigraph:
-            parts = _kernels.rate_parts(problem.kid, *problem.kargs,
-                                        *repaired.as_tuple())
+            parts = _kernels.rate_parts(problem.kernel, *repaired.as_tuple())
             t0 = min(parts[3], parts[4])
         x0 = problem.from_alloc(repaired, t=t0)
 
@@ -489,22 +485,22 @@ def optimize(scheme: Scheme, params: SystemParams,
 def baseline(scheme: Scheme, params: SystemParams):
     """Unoptimized reference: maximum transmit powers and an even split.
 
-    The AN splits its budget evenly between DL and outgoing backhaul for
-    the schemes where both share a slot; the hybrid relay runs each at the
-    full budget since they never overlap.  The max-power point generally
-    violates the service constraints, so the reported user rates are what
-    the cell can actually deliver there: each direction is clamped to its
-    backhaul capacity (``min(C_x, C_x^BH)``) and the pair is then projected
+    The AN splits its budget evenly between DL and outgoing backhaul when
+    the two share it, else runs each at the full budget.  The max-power
+    point generally violates the service constraints, so the reported
+    user rates are what the cell can actually deliver there: each
+    direction is clamped to its backhaul capacity (``min(C_x, C_x^BH)``)
+    and the pair is then projected
     into the UL/DL rate-ratio band (excess UL rate is dropped; excess DL
     rate is dropped when the UL side cannot sustain the minimum ratio).
     The returned breakdown carries the clamped components; the report
     carries the raw constraint values at the evaluated point.
     """
     require_valid(params, scheme)
-    if scheme is Scheme.HYBRID_RELAY:
-        p_d = p_bh_u = params.p_an_max
-    else:
+    if links(scheme, params).shared_budget:
         p_d = p_bh_u = 0.5 * params.p_an_max
+    else:
+        p_d = p_bh_u = params.p_an_max
     alloc = PowerAllocation(
         p_d=p_d,
         p_u=params.p_ue_max,

@@ -11,7 +11,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from . import _kernels
-from .model import PowerAllocation, Scheme, SystemParams, require_valid
+from .model import (PowerAllocation, Scheme, SystemParams, links,
+                    require_valid)
 
 
 @dataclass(frozen=True)
@@ -44,7 +45,7 @@ def sinr_set(scheme: Scheme, params: SystemParams,
     """Evaluate the scheme's closed-form per-stream SINRs."""
     require_valid(params, scheme)
     alloc.check()
-    values = _kernels.sinr_tuple(scheme.kernel_id, *params.kernel_args(),
+    values = _kernels.sinr_tuple(links(scheme, params).kernel,
                                  *alloc.as_tuple()[:5])
     return SinrSet(*values)
 
@@ -58,7 +59,7 @@ def rate_components(scheme: Scheme, params: SystemParams,
     """
     require_valid(params, scheme)
     alloc.check()
-    return _kernels.rate_parts(scheme.kernel_id, *params.kernel_args(),
+    return _kernels.rate_parts(links(scheme, params).kernel,
                                *alloc.as_tuple())
 
 

@@ -202,8 +202,9 @@ def _parse_axis(text, kind):
         step = float(parts[2]) if len(parts) == 3 else 1.0
         if step <= 0:
             raise ConfigError("axis step must be > 0")
-        n = int(round((stop - start) / step))
-        values = [start + i * step for i in range(n + 1)]
+        # the last point may reach stop by round-off, never pass it
+        n = math.floor((stop - start) / step + 1e-9)
+        values = [min(start + i * step, stop) for i in range(n + 1)]
     else:
         values = [float(v) for v in text.split(",") if v.strip()]
     if kind in ("intra_cell_pairs", "backhaul_streams"):

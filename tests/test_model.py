@@ -1,11 +1,10 @@
 """Parameter construction, unit conversion and structural validation."""
 
-import math
-
+import numpy as np
 import pytest
 
-from selfbackhaul.model import (ConfigError, Scheme, load_params,
-                                params_from_db, params_to_db,
+from selfbackhaul.model import (SLOTS, ConfigError, Scheme, links,
+                                load_params, params_from_db, params_to_db,
                                 parse_config_text, validate)
 
 from conftest import REFERENCE_DB, make_params
@@ -142,6 +141,50 @@ def test_scheme_parse():
         Scheme.parse("tdd")
 
 
-def test_scheme_is_exhaustive():
+def test_scheme_is_exhaustive(reference_params):
     assert {s.value for s in Scheme} == {"fd", "hd", "rl"}
-    assert math.isfinite(sum(s.kernel_id for s in Scheme))
+    assert set(SLOTS) == set(Scheme)
+    assert [s for s in Scheme if not links(s, reference_params).time_split
+            ] == [Scheme.FULL_DUPLEX]
+
+
+def _oracle_dof_violations(p, scheme):
+    """Each scheme's DoF rules, written out on their own."""
+    if scheme is Scheme.FULL_DUPLEX:
+        rules = [("FD transmit DoF", "n_t - d - m_bh_t - n_r",
+                  p.n_t - p.d - p.m_bh_t - p.n_r),
+                 ("FD receive DoF", "n_r - u - m_bh_r",
+                  p.n_r - p.u - p.m_bh_r)]
+    elif scheme is Scheme.HALF_DUPLEX:
+        rules = [("HD transmit DoF", "n_t - d + k_d2d - m_bh_t",
+                  p.n_t - p.d + p.k_d2d - p.m_bh_t),
+                 ("HD receive DoF", "n_r - u - m_bh_r",
+                  p.n_r - p.u - p.m_bh_r)]
+    else:
+        rules = [("RL DL transmit DoF", "n_t - d + k_d2d - n_r",
+                  p.n_t - p.d + p.k_d2d - p.n_r),
+                 ("RL backhaul transmit DoF", "n_t - m_bh_t - k_d2d - n_r",
+                  p.n_t - p.m_bh_t - p.k_d2d - p.n_r),
+                 ("RL UL receive DoF", "n_r - u", p.n_r - p.u),
+                 ("RL backhaul receive DoF", "n_r - m_bh_r",
+                  p.n_r - p.m_bh_r)]
+    return [f"{name} <= 0 ({formula} = {dof})"
+            for name, formula, dof in rules if dof <= 0]
+
+
+@pytest.mark.parametrize("scheme", list(Scheme))
+def test_dof_checks_equal_per_scheme_rules(scheme):
+    rng = np.random.default_rng(768)
+    failing = 0
+    for _ in range(400):
+        d, u = int(rng.integers(1, 13)), int(rng.integers(1, 13))
+        k_d2d = int(rng.integers(0, min(d, u) + 1))
+        params = make_params(
+            n_t=int(rng.integers(1, 161)), n_r=int(rng.integers(1, 81)),
+            m_bh_t=int(rng.integers(0, 13)), m_bh_r=int(rng.integers(0, 25)),
+            d=d, u=u, k_d2d=k_d2d,
+            k_an=int(rng.integers(0, min(d, u) - k_d2d + 1)))
+        expected = _oracle_dof_violations(params, scheme)
+        failing += bool(expected)
+        assert [v for v in validate(params, scheme) if "DoF" in v] == expected
+    assert 0 < failing < 400

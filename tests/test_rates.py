@@ -5,12 +5,15 @@ Expected values marked "oracle" were computed independently with mpmath at
 """
 
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
-from selfbackhaul.model import PowerAllocation, Scheme, StructuralError
-from selfbackhaul.rates import rate_components, rates, sinr_set
+from selfbackhaul.model import (PowerAllocation, Scheme, StructuralError,
+                                validate)
+from selfbackhaul.rates import SinrSet, rate_components, rates, sinr_set
 
 from conftest import make_params
 
@@ -186,3 +189,164 @@ def test_structural_violation_propagates():
     params = make_params(n_t=100, n_r=100)
     with pytest.raises(StructuralError, match="FD transmit DoF"):
         rates(Scheme.FULL_DUPLEX, params, alloc(p_d=1.0))
+
+
+# -- the closed forms pinned against a per-scheme oracle -------------------
+
+
+def _oracle_sinrs(scheme, p, a):
+    """Per-stream SINRs (dl, ul, d2d, bh_dl, bh_ul), each scheme's closed
+    forms written out on their own, in the kernel's operation order."""
+    n_t, n_r, m_bh_t, m_bh_r = p.n_t, p.n_r, p.m_bh_t, p.m_bh_r
+    d, u, k_d2d = p.d, p.u, p.k_d2d
+    s2, l_ue, l_ud, l_bh, alpha = (p.sigma_n2, p.l_ue, p.l_ud, p.l_bh,
+                                   p.alpha)
+    p_d, p_u, p_bh_d, p_bh_u, p_u_d2d = a.as_tuple()[:5]
+    d_str = d - k_d2d
+    sinr_d = sinr_u = sinr_d2d = sinr_bh_d = sinr_bh_u = 0.0
+    if k_d2d > 0 and p_u_d2d > 0.0:
+        sinr_d2d = 1.0 / ((k_d2d - 1) + s2 / (l_ud * p_u_d2d)
+                          + p_u / p_u_d2d)
+    if scheme is Scheme.FULL_DUPLEX:
+        dof_t = n_t - d - m_bh_t - n_r
+        dof_r = n_r - u - m_bh_r
+        si = alpha * (p_d + p_bh_u)
+        if d_str > 0 and p_d > 0.0:
+            iui = l_ud * (u - k_d2d) * p_u + l_ud * k_d2d * p_u_d2d
+            sinr_d = l_ue * dof_t * p_d / (d_str * (s2 + iui))
+        if p_u > 0.0:
+            sinr_u = l_ue * dof_r * p_u / (s2 + si)
+        if m_bh_r > 0 and p_bh_d > 0.0:
+            sinr_bh_d = l_bh * dof_r * p_bh_d / (m_bh_r * (s2 + si))
+        if m_bh_t > 0 and p_bh_u > 0.0:
+            sinr_bh_u = l_bh * dof_t * p_bh_u / (m_bh_t * s2)
+    elif scheme is Scheme.HALF_DUPLEX:
+        dof_t = n_t - d + k_d2d - m_bh_t
+        dof_r = n_r - u - m_bh_r
+        if d_str > 0 and p_d > 0.0:
+            sinr_d = dof_t * l_ue * p_d / (d_str * s2)
+        if p_u > 0.0:
+            sinr_u = dof_r * l_ue * p_u / s2
+        if m_bh_r > 0 and p_bh_d > 0.0:
+            sinr_bh_d = dof_r * l_bh * p_bh_d / (m_bh_r * s2)
+        if m_bh_t > 0 and p_bh_u > 0.0:
+            sinr_bh_u = dof_t * l_bh * p_bh_u / (m_bh_t * s2)
+    else:
+        if d_str > 0 and p_d > 0.0:
+            sinr_d = (n_t - d + k_d2d - n_r) * l_ue * p_d / (d_str * s2)
+        if p_u > 0.0:
+            sinr_u = (n_r - u) * l_ue * p_u / (s2 + alpha * p_bh_u)
+        if m_bh_r > 0 and p_bh_d > 0.0:
+            sinr_bh_d = ((n_r - m_bh_r) * l_bh * p_bh_d
+                         / (m_bh_r * (s2 + alpha * p_d)))
+        if m_bh_t > 0 and p_bh_u > 0.0:
+            sinr_bh_u = ((n_t - m_bh_t - k_d2d - n_r) * l_bh * p_bh_u
+                         / (m_bh_t * s2))
+    return sinr_d, sinr_u, sinr_d2d, sinr_bh_d, sinr_bh_u
+
+
+def _oracle_parts(scheme, p, a):
+    """(c_d, c_u, c_d2d, relay_dl, relay_ul, c_bh_d, c_bh_u) from the
+    oracle SINRs and each scheme's slot weights."""
+    sinr_d, sinr_u, sinr_d2d, sinr_bh_d, sinr_bh_u = _oracle_sinrs(
+        scheme, p, a)
+    eta = a.eta
+    if scheme is Scheme.FULL_DUPLEX:
+        w_d = w_u = w_bh_d = w_bh_u = 1.0
+    elif scheme is Scheme.HALF_DUPLEX:
+        w_d, w_u, w_bh_d, w_bh_u = eta, 1.0 - eta, 1.0 - eta, eta
+    else:
+        w_d, w_u, w_bh_d, w_bh_u = eta, 1.0 - eta, eta, 1.0 - eta
+    r_d = math.log2(1.0 + sinr_d)
+    r_u = math.log2(1.0 + sinr_u)
+    return (w_d * (p.d - p.k_d2d - p.k_an) * r_d,
+            w_u * (p.u - p.k_d2d - p.k_an) * r_u,
+            w_u * p.k_d2d * math.log2(1.0 + sinr_d2d),
+            w_d * r_d,
+            w_u * r_u,
+            w_bh_d * p.m_bh_r * math.log2(1.0 + sinr_bh_d),
+            w_bh_u * p.m_bh_t * math.log2(1.0 + sinr_bh_u))
+
+
+def _random_cell(rng):
+    d, u = int(rng.integers(1, 13)), int(rng.integers(1, 13))
+    k_d2d = int(rng.integers(0, min(d, u) + 1))
+    k_an = int(rng.integers(0, min(d, u) - k_d2d + 1))
+    return make_params(
+        n_t=int(rng.integers(20, 241)), n_r=int(rng.integers(8, 121)),
+        m_bh_t=int(rng.integers(0, 9)), m_bh_r=int(rng.integers(0, 13)),
+        d=d, u=u, k_d2d=k_d2d, k_an=k_an,
+        noise_dbm=float(rng.uniform(-100, -80)),
+        l_ue_db=float(rng.uniform(60, 100)),
+        l_ud_db=float(rng.uniform(50, 110)),
+        l_bh_db=float(rng.uniform(60, 100)),
+        si_cancellation_db=float(rng.uniform(40, 140)))
+
+
+def _random_alloc(rng, params):
+    """Powers up to the budgets, each zero with probability 1/4; eta
+    sometimes on an end of [0, 1]."""
+    def power(cap):
+        return 0.0 if rng.random() < 0.25 else float(rng.uniform(0, cap))
+    eta = float(rng.choice([0.0, 1.0, rng.uniform(0, 1), rng.uniform(0, 1)]))
+    return PowerAllocation(
+        p_d=power(params.p_an_max), p_u=power(params.p_ue_max),
+        p_bh_d=power(params.p_bh_d_max), p_bh_u=power(params.p_an_max),
+        p_u_d2d=power(params.p_ue_max) if params.k_d2d else 0.0, eta=eta)
+
+
+@pytest.mark.parametrize("scheme", list(Scheme))
+def test_kernel_equals_per_scheme_closed_forms(scheme):
+    rng = np.random.default_rng(2016)
+    seen = {"k_d2d": 0, "k_an": 0, "m_bh_t=0": 0, "m_bh_r=0": 0}
+    cells = 0
+    while cells < 150:
+        params = _random_cell(rng)
+        if validate(params, scheme):
+            continue
+        cells += 1
+        seen["k_d2d"] += params.k_d2d > 0
+        seen["k_an"] += params.k_an > 0
+        seen["m_bh_t=0"] += params.m_bh_t == 0
+        seen["m_bh_r=0"] += params.m_bh_r == 0
+        for _ in range(8):
+            a = _random_alloc(rng, params)
+            assert sinr_set(scheme, params, a) == SinrSet(
+                *_oracle_sinrs(scheme, params, a))
+            assert rate_components(scheme, params, a) == _oracle_parts(
+                scheme, params, a)
+    assert all(count > 0 for count in seen.values()), seen
+
+
+@st.composite
+def _cells_and_allocs(draw, schemes=tuple(Scheme)):
+    """A seeded random cell valid for one of ``schemes``, and an
+    allocation on it."""
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    scheme = draw(st.sampled_from(schemes))
+    params = _random_cell(rng)
+    while validate(params, scheme):
+        params = _random_cell(rng)
+    return scheme, params, _random_alloc(rng, params)
+
+
+@settings(derandomize=True, deadline=None)
+@given(_cells_and_allocs())
+def test_sum_rate_is_sum_of_user_rates(case):
+    scheme, params, a = case
+    rb = rates(scheme, params, a)
+    assert rb.c_s == rb.c_d + rb.c_u + rb.c_ic
+
+
+_RATE_FIELDS = ("c_d", "c_u", "c_ic", "c_s", "c_bh_d", "c_bh_u")
+
+
+@settings(derandomize=True, deadline=None)
+@given(_cells_and_allocs([Scheme.HALF_DUPLEX]), st.floats(1e-15, 1.0))
+def test_hd_rates_independent_of_alpha(case, alpha):
+    _, params, a = case
+    first = rates(Scheme.HALF_DUPLEX, params, a)
+    second = rates(Scheme.HALF_DUPLEX, replace(params, alpha=alpha), a)
+    assert [getattr(first, f) for f in _RATE_FIELDS] == [
+        getattr(second, f) for f in _RATE_FIELDS]
+

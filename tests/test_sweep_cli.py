@@ -183,6 +183,23 @@ def test_spec_file_overrides_and_errors(tmp_path):
         load_sweep_spec(bad)
 
 
+
+@pytest.mark.parametrize("axis,expected", [
+    ("0:1:0.6", [0.0, 0.6]),
+    ("60:140:3", [60.0 + 3 * i for i in range(27)]),
+    ("0:0.3:0.1", [0.0, 0.1, 0.2, 0.3]),
+    ("60:140:2", [60.0 + 2 * i for i in range(41)]),
+])
+def test_axis_range_stops_at_stop(tmp_path, axis, expected):
+    (tmp_path / "cell.cfg").write_text(
+        "\n".join(f"{k} = {v}" for k, v in REFERENCE_DB.items()),
+        encoding="utf-8")
+    spec_file = tmp_path / "sweep.cfg"
+    spec_file.write_text(f"kind = si_cancellation\naxis = {axis}\n"
+                         "params = cell.cfg\n", encoding="utf-8")
+    assert load_sweep_spec(spec_file).axis == expected
+
+
 # -- CLI ------------------------------------------------------------------
 
 
