@@ -1,21 +1,22 @@
 """Multi-start constrained maximization of the per-scheme sum-rate.
 
 Each start draws transmit powers log-uniformly across the feasible decades,
-repairs obvious constraint violations by shrinking the offending powers,
-and then runs an SLSQP solve on box-bounded variables (powers in log10
-space).  The constraints are the rows of `feasibility.slack_rows` that
-the variable boxes do not enforce, so the solver and the feasibility
-report share one encoding; `model.links` says whether ``eta`` is a
-variable.  The nonsmooth ``min`` term contributed by AN-relayed pairs is
-handled through an epigraph auxiliary variable.
+repairs obvious constraint violations in one pass by shrinking the
+offending powers, and then runs an SLSQP solve on box-bounded variables
+(powers in log10 space).  Every start reaches SLSQP, whether or not its
+repaired point is feasible.  The constraints are the rows of
+`feasibility.slack_rows` that the variable boxes do not enforce, so the
+solver and the feasibility report share one encoding; `model.links` says
+whether ``eta`` is a variable.  The nonsmooth ``min`` term contributed by
+AN-relayed pairs is handled through an epigraph auxiliary variable.
 The objective gradient and the constraint Jacobian share one
 central-difference pass per iterate: each perturbed point is evaluated
 once and yields the objective and the slack vector together.  The pass
 runs on Python floats, and the epigraph variable, which the rate kernel
 never sees, reuses one kernel call at the iterate, so a pass costs
 2*dim - 1 kernel calls with relayed pairs and 2*dim without.  Repair
-bisects a power on the allocation's values as a plain list and builds
-one allocation per shrink.
+takes its violated rows from one kernel call, and bisects a power on the
+allocation's values as a plain list with one kernel call per step.
 
 The best feasible local maximum over all starts is returned together with
 per-start diagnostics; results are deterministic for a fixed seed.
@@ -39,11 +40,16 @@ from .rates import RateBreakdown, rates
 
 _P_START_FLOOR_MW = 1e-3    # lower edge of the log-uniform start range
 _LOG_FLOOR = -8.0           # log10 mW lower bound standing in for "off"
-_REPAIR_PASSES = 12
 _BISECT_ITERS = 40
 _REPAIR_MARGIN = 1e-3       # slack (bits/s/Hz) left below repaired boundaries
 _FD_STEP = 1e-6             # relative central-difference step
+_MAX_ITERATIONS = 150       # SLSQP iterations per start
+_OBJECTIVE_TOL = 1e-9       # SLSQP ftol
 _SLSQP_ITERATION_LIMIT = 9  # scipy SLSQP exit status for maxiter reached
+# Shrinking the power named on the right drives the row's violation to
+# zero monotonically (the cross terms only help).
+_SHRINK_FIELD = {"bh_dl": "p_d", "rho_lo": "p_d",
+                 "bh_ul": "p_u", "rho_hi": "p_u"}
 _ALLOC_FIELDS = tuple(f.name for f in fields(PowerAllocation))
 
 
@@ -51,15 +57,15 @@ _ALLOC_FIELDS = tuple(f.name for f in fields(PowerAllocation))
 class OptimizerOptions:
     n_starts: int = 50
     rng_seed: int = 42
-    max_iterations: int = 150
     feasibility_tol: float = 1e-6
-    objective_tol: float = 1e-9
 
     def check(self):
         if self.n_starts < 1:
             raise ValueError("n_starts must be >= 1")
-        if self.feasibility_tol <= 0 or self.objective_tol <= 0:
-            raise ValueError("tolerances must be > 0")
+        if self.rng_seed < 0:
+            raise ValueError(f"rng_seed must be >= 0, got {self.rng_seed}")
+        if self.feasibility_tol <= 0:
+            raise ValueError("feasibility_tol must be > 0")
 
 
 @dataclass
@@ -308,17 +314,13 @@ def _draw_start(problem: _Problem, rng) -> PowerAllocation:
     )
 
 
-def _row_violation(scheme: Scheme, params: SystemParams, label: str):
-    """``a -> constraints(scheme, params, alloc).value(label)``, where ``a``
-    is ``alloc.as_tuple()`` (or the same values in a list).
-
-    The one row is computed from one kernel call, without the rates
-    breakdown, the other rows or the report; the caller has validated
-    ``params`` and each allocation.
+def _row_violation(kernel, slack):
+    """``a -> -slack(c, a)``, where ``a`` is an allocation tuple (or the
+    same values in a list) and ``c`` its rates from one ``kernel`` call:
+    the row's value in `constraints`, without the rates breakdown, the
+    other rows or the report; the caller has validated the instance and
+    each allocation.
     """
-    slack = dict(slack_rows(scheme, params))[label]
-    kernel = links(scheme, params).kernel
-
     def violation(a):
         c_d, c_u, _, _, _, c_bh_d, c_bh_u = _kernels.rate_parts(kernel, *a)
         return -slack((c_d, c_u, c_bh_d, c_bh_u), a)
@@ -330,12 +332,13 @@ def _shrink_power(alloc, field_name, violation_fn):
 
     ``violation_fn`` maps an allocation tuple (see `_row_violation`) to a
     scalar that must become <= 0; it must be non-positive when the chosen
-    power is zero.  The bisection aims slightly below the boundary so that
-    coupled constraints (which the outer repair passes fix one at a time)
-    cannot ping-pong forever.  It runs on the allocation as a list: the
-    other entries come from an allocation that passed `check()`, and each
-    trial power gets that check's domain test, so every trial is a valid
-    allocation without building one; only the result is built.
+    power is zero.  The bisection aims slightly below the boundary, so the
+    row holds with room to spare: a later shrink of a coupled power in the
+    same repair can then move it a little without breaking it again.  It
+    runs on the allocation as a list: the other entries come from an
+    allocation that passed `check()`, and each trial power gets that
+    check's domain test, so every trial is a valid allocation without
+    building one; only the result is built.
     """
     a = list(alloc.as_tuple())
     i = _ALLOC_FIELDS.index(field_name)
@@ -358,13 +361,17 @@ def _shrink_power(alloc, field_name, violation_fn):
 
 
 def repair_start(scheme: Scheme, params: SystemParams,
-                 alloc: PowerAllocation, tol: float):
-    """Project a random start into the feasible set, or return None.
+                 alloc: PowerAllocation, tol: float) -> PowerAllocation:
+    """Pull a random start toward the feasible set in one pass.
 
-    The AN power pair is rescaled onto its budget when the two share it,
-    then rate-coupled violations (backhaul capacity, rate-ratio bounds)
-    are cleared by bisecting the offending power toward zero, iterating a
-    few passes because the schemes couple the links through interference.
+    The powers are clipped to their boxes, and the AN power pair is
+    rescaled onto its budget when the two share it.  One kernel call at
+    that point finds the rate rows (backhaul capacity, rate-ratio bounds)
+    violated by more than ``tol``; in `slack_rows` order, the power behind
+    each is then bisected toward zero until its row holds with margin.
+    The schemes couple the links through interference, so a later shrink
+    may break a row an earlier one cleared; the start is returned either
+    way, and SLSQP takes it from there.
     """
     # the bisections evaluate their one row on the kernel directly
     require_valid(params, scheme)
@@ -377,31 +384,22 @@ def repair_start(scheme: Scheme, params: SystemParams,
         p_u_d2d=min(alloc.p_u_d2d, params.p_ue_max),
         eta=min(max(alloc.eta, 0.0), 1.0),
     )
-    if links(scheme, params).shared_budget:
+    scheme_links = links(scheme, params)
+    if scheme_links.shared_budget:
         total = alloc.p_d + alloc.p_bh_u
         if total > params.p_an_max:
             f = params.p_an_max / total
             alloc = replace(alloc, p_d=alloc.p_d * f, p_bh_u=alloc.p_bh_u * f)
 
-    # Shrinking the power named on the left drives the labelled violation
-    # to zero monotonically (the cross terms only help).
-    shrink_field = {"bh_dl": "p_d", "rho_lo": "p_d",
-                    "bh_ul": "p_u", "rho_hi": "p_u"}
-    for _ in range(_REPAIR_PASSES):
-        report = constraints(scheme, params, alloc, tol)
-        if report.feasible:
-            return alloc
-        progressed = False
-        for label, value in report.values:
-            if value <= tol or label not in shrink_field:
-                continue
-            alloc = _shrink_power(alloc, shrink_field[label],
-                                  _row_violation(scheme, params, label))
-            progressed = True
-        if not progressed:
-            break
-    report = constraints(scheme, params, alloc, tol)
-    return alloc if report.feasible else None
+    kernel = scheme_links.kernel
+    a = alloc.as_tuple()
+    c_d, c_u, _, _, _, c_bh_d, c_bh_u = _kernels.rate_parts(kernel, *a)
+    c = (c_d, c_u, c_bh_d, c_bh_u)
+    for label, slack in slack_rows(scheme, params):
+        if label in _SHRINK_FIELD and -slack(c, a) > tol:
+            alloc = _shrink_power(alloc, _SHRINK_FIELD[label],
+                                  _row_violation(kernel, slack))
+    return alloc
 
 
 # -- public entry points -------------------------------------------------
@@ -413,7 +411,7 @@ def optimize(scheme: Scheme, params: SystemParams,
 
     Runs ``opts.n_starts`` independent SLSQP solves from randomized,
     repaired starting points and returns the best feasible result.  Raises
-    NoFeasiblePointError when every start fails.
+    NoFeasiblePointError when no start ends on a feasible point.
     """
     opts = opts or OptimizerOptions()
     opts.check()
@@ -421,16 +419,12 @@ def optimize(scheme: Scheme, params: SystemParams,
 
     problem = _Problem(scheme, params)
     starts = []
-    best = None  # (objective, index, alloc)
+    best = None  # (rates, report) of the best feasible start
 
     for index in range(opts.n_starts):
         rng = np.random.default_rng([opts.rng_seed, index])
         raw = _draw_start(problem, rng)
         repaired = repair_start(scheme, params, raw, opts.feasibility_tol)
-        if repaired is None:
-            starts.append(StartSummary(index, float("nan"), False, False, 0,
-                                       "discarded: unrepairable start"))
-            continue
 
         t0 = None
         if problem.epigraph:
@@ -448,36 +442,33 @@ def optimize(scheme: Scheme, params: SystemParams,
                 method="SLSQP", bounds=problem.bounds(),
                 constraints=[{"type": "ineq", "fun": problem.constraint_vec,
                               "jac": problem.constraint_jac}],
-                options={"maxiter": opts.max_iterations,
-                         "ftol": opts.objective_tol},
+                options={"maxiter": _MAX_ITERATIONS, "ftol": _OBJECTIVE_TOL},
             )
 
         lo, hi = zip(*problem.bounds())
         x = np.clip(res.x, lo, hi)
         alloc = problem.to_alloc(x)
         report = constraints(scheme, params, alloc, opts.feasibility_tol)
-        # a start that ran out of iterations is discarded; any other final
-        # point counts if it independently checks out as feasible (solver
-        # stalls routinely end exactly on the constrained optimum)
-        discarded = res.status == _SLSQP_ITERATION_LIMIT
-        feasible = report.feasible and not discarded
-        objective = rates(scheme, params, alloc).c_s if feasible else float("nan")
+        # a start that ran out of iterations does not count; any other
+        # final point counts if it independently checks out as feasible
+        # (solver stalls routinely end exactly on the constrained optimum)
+        feasible = report.feasible and res.status != _SLSQP_ITERATION_LIMIT
+        objective = float("nan")
+        if feasible:
+            rb = rates(scheme, params, alloc)
+            objective = rb.c_s
+            if best is None or objective > best[0].c_s:
+                best = (rb, report)
         converged = bool(res.success)
         starts.append(StartSummary(index, objective, feasible, converged,
                                    int(res.nit), str(res.message)))
-        if feasible:
-            if best is None or objective > best[0]:
-                best = (objective, index, alloc)
 
     converged_count = sum(1 for s in starts if s.converged and s.feasible)
     if best is None:
         raise NoFeasiblePointError(scheme, starts)
 
-    _, _, best_alloc = best
-    best_rates = rates(scheme, params, best_alloc)
-    best_report = constraints(scheme, params, best_alloc,
-                              opts.feasibility_tol)
-    return OptResult(scheme=scheme, best_alloc=best_alloc,
+    best_rates, best_report = best
+    return OptResult(scheme=scheme, best_alloc=best_rates.alloc,
                      best_rates=best_rates, best_report=best_report,
                      starts=starts, converged_count=converged_count)
 

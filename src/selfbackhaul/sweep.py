@@ -29,6 +29,8 @@ ROUTINGS = ("d2d", "via_an")
 
 _SWEEP_KEYS = {"kind", "axis", "axis_param", "routing", "schemes",
                "include_baseline", "params", "seed", "n_starts"}
+_FLAGS = {"true": True, "false": False, "yes": True, "no": False,
+          "on": True, "off": False, "1": True, "0": False}
 
 
 @dataclass
@@ -43,6 +45,7 @@ class SweepSpec:
     options: OptimizerOptions = field(default_factory=OptimizerOptions)
 
     def check(self):
+        self.options.check()
         if self.kind not in KINDS:
             raise ConfigError(f"unknown sweep kind {self.kind!r}")
         if not self.axis:
@@ -258,14 +261,15 @@ def load_sweep_spec(path) -> SweepSpec:
     if "n_starts" in raw:
         options.n_starts = int(raw["n_starts"])
 
-    include_baseline = raw.get("include_baseline", "true")
-    if isinstance(include_baseline, str):
-        include_baseline = include_baseline.strip().lower() in (
-            "1", "true", "yes", "on")
+    flag = str(raw.get("include_baseline", "true")).lower()
+    if flag not in _FLAGS:
+        raise ConfigError(
+            f"include_baseline must be one of {'/'.join(_FLAGS)}, "
+            f"got {flag!r}")
 
     spec = SweepSpec(kind=kind, axis=axis, base_db=base_db, schemes=schemes,
                      routing=str(raw.get("routing", "via_an")),
-                     include_baseline=bool(include_baseline),
+                     include_baseline=_FLAGS[flag],
                      axis_param=raw.get("axis_param"), options=options)
     spec.check()
     return spec

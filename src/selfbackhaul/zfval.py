@@ -128,40 +128,28 @@ def draw_channel(n_t: int, n_r: int, m_t: int, gains, seed: int) -> ChannelDraw:
     """Draw one stacked channel realization (reproducible for a seed)."""
     if n_t < 1 or n_r < 0 or m_t < 1:
         raise ValueError("dimensions must be positive")
-    gains = np.asarray(gains, dtype=float)
-    if gains.shape != (m_t + n_r,):
-        raise ValueError(
-            f"expected {m_t + n_r} gains (data rows + SI rows), "
-            f"got {gains.shape}")
-    _check_gains(gains)
+    gains = _checked_gains(gains, m_t + n_r)
     rng = np.random.default_rng(seed)
     stacked = _complex_rows(rng, 1, m_t + n_r, n_t, gains)[0]
     return ChannelDraw(h_t=stacked[:m_t], h_s=stacked[m_t:], gains=gains)
 
 
-def zf_precoder(draw: ChannelDraw, mode: str = "fd-null") -> PrecoderSample:
+def zf_precoder(draw: ChannelDraw) -> PrecoderSample:
     """ZF precoder with expectation-based power normalization.
 
-    ``fd-null`` stacks the SI rows into the inversion so the AN's receive
-    antennas are zero-forced; ``hd`` inverts the data channel only.  Raises
-    IllConditionedError when the gain-normalized Gram matrix of the stack
-    has a condition number above 1e10 (the caller is expected to redraw).
+    The SI rows are stacked into the inversion, so the AN's receive
+    antennas are zero-forced.  Raises IllConditionedError when the
+    gain-normalized Gram matrix of the stack has a condition number above
+    1e10 (the caller is expected to redraw).
     """
-    m_t = draw.h_t.shape[0]
-    n_t = draw.h_t.shape[1]
-    if mode == "fd-null":
-        h = np.vstack([draw.h_t, draw.h_s])
-        dof = n_t - m_t - draw.h_s.shape[0]
-    elif mode == "hd":
-        h = draw.h_t
-        dof = n_t - m_t
-    else:
-        raise ValueError(f"unknown precoder mode {mode!r}")
+    m_t, n_t = draw.h_t.shape
+    h = np.vstack([draw.h_t, draw.h_s])
+    dof = n_t - h.shape[0]
     if dof <= 0:
         raise ValueError("not enough antennas to zero-force this stack")
 
     gram = h @ h.conj().T
-    if not _well_conditioned(gram, draw.gains[:h.shape[0]]):
+    if not _well_conditioned(gram, draw.gains):
         raise IllConditionedError("channel stack too ill-conditioned")
 
     w_unnorm = np.linalg.solve(gram, h).conj().T   # H^H (H H^H)^-1
@@ -205,13 +193,10 @@ def wishart_trace_check(n_t: int, m: int, trials: int, seed: int) -> CheckResult
 
 
 def column_norm_check(n_t: int, m_t: int, n_r: int, trials: int, seed: int,
-                      gains=None, mode: str = "fd-null") -> CheckResult:
+                      gains=None) -> CheckResult:
     """Monte-Carlo mean of ||w_k||^2 for the normalized precoder (target 1)."""
-    rows = m_t + (n_r if mode == "fd-null" else 0)
-    if gains is None:
-        gains = np.ones(m_t + n_r)
-    gains = np.asarray(gains, dtype=float)
-    _check_gains(gains)
+    rows = m_t + n_r
+    gains = _checked_gains(np.ones(rows) if gains is None else gains, rows)
     dof = n_t - rows
     if dof <= 0:
         raise ValueError("not enough antennas to zero-force this stack")
@@ -224,8 +209,8 @@ def column_norm_check(n_t: int, m_t: int, n_r: int, trials: int, seed: int,
     done = 0
     while done < trials:
         count = min(_CHUNK, trials - done)
-        h = _complex_rows(rng, count, rows, n_t, gains[:rows])
-        ok, inv_diag = _inverse_diagonals(h, gains[:rows])
+        h = _complex_rows(rng, count, rows, n_t, gains)
+        ok, inv_diag = _inverse_diagonals(h, gains)
         rejected += int(np.sum(~ok))
         # ||w_k||^2 = lam_k^2 {(HH^H)^-1}_kk with lam_k^2 = L_k * dof
         norms = inv_diag[:, :m_t] * (gains[:m_t] * dof)[None, :]
@@ -256,7 +241,7 @@ def exactness_check(n_t: int, m_t: int, n_r: int, trials: int,
         draw = draw_channel(n_t, n_r, m_t, gains,
                             seed=int(rng.integers(0, 2 ** 63)))
         try:
-            sample = zf_precoder(draw, mode="fd-null")
+            sample = zf_precoder(draw)
         except IllConditionedError:
             continue
         eff = draw.h_t @ sample.w
@@ -396,10 +381,16 @@ def _check_trials(trials: int):
         raise ValueError(f"need at least 1 trial, got {trials}")
 
 
-def _check_gains(gains):
+def _checked_gains(gains, rows: int):
+    """``gains`` as a float array, one positive finite gain per row."""
+    gains = np.asarray(gains, dtype=float)
+    if gains.shape != (rows,):
+        raise ValueError(
+            f"expected {rows} gains (data rows + SI rows), got {gains.shape}")
     # the condition test divides each row by the square root of its gain
     if not np.all(np.isfinite(gains) & (gains > 0.0)):
         raise ValueError("path gains must be positive and finite")
+    return gains
 
 
 def _check_rejections(rejected: int, trials: int):

@@ -8,8 +8,8 @@ import pytest
 from scipy.optimize import minimize
 
 from selfbackhaul import _kernels
-from selfbackhaul.feasibility import constraints
-from selfbackhaul.model import PowerAllocation, Scheme
+from selfbackhaul.feasibility import ConstraintReport, constraints, slack_rows
+from selfbackhaul.model import PowerAllocation, Scheme, links
 from selfbackhaul.optimizer import (NoFeasiblePointError, OptimizerOptions,
                                    _Problem, baseline, optimize, repair_start)
 from selfbackhaul.rates import rates
@@ -25,6 +25,8 @@ def test_options_validation():
         OptimizerOptions(n_starts=0).check()
     with pytest.raises(ValueError):
         OptimizerOptions(feasibility_tol=0.0).check()
+    with pytest.raises(ValueError, match="rng_seed must be >= 0, got -1"):
+        OptimizerOptions(rng_seed=-1).check()
 
 
 def test_best_point_feasible_and_dominant(reference_params):
@@ -57,7 +59,7 @@ def test_hd_optimum_independent_of_si_cancellation():
     hi = optimize(Scheme.HALF_DUPLEX, make_params(si_cancellation_db=120),
                   opts)
     assert lo.best_rates.c_s == pytest.approx(
-        hi.best_rates.c_s, abs=2 * opts.objective_tol)
+        hi.best_rates.c_s, abs=2 * optimizer_mod._OBJECTIVE_TOL)
 
 
 def test_scheme_ordering_at_poor_si_cancellation():
@@ -275,14 +277,20 @@ def test_derivatives_equal_separate_central_differences(monkeypatch, scheme,
 
 
 @st.composite
-def _cells_and_points(draw):
-    """A random valid cell and scheme, with a random point in its boxes."""
+def _valid_cells(draw):
+    """A random valid cell and scheme."""
     m_bh_t = draw(st.integers(1, 6))
     pairs = draw(st.sampled_from(["k_an", "k_d2d"]))
     params = make_params(
         si_cancellation_db=draw(st.floats(60.0, 140.0)),
         m_bh_t=m_bh_t, m_bh_r=2 * m_bh_t, **{pairs: draw(st.integers(0, 3))})
-    scheme = draw(st.sampled_from(list(Scheme)))
+    return draw(st.sampled_from(list(Scheme))), params
+
+
+@st.composite
+def _cells_and_points(draw):
+    """A random valid cell and scheme, with a random point in its boxes."""
+    scheme, params = draw(_valid_cells())
     bounds = _Problem(scheme, params).bounds()
     x = np.array([draw(st.floats(lo, hi)) for lo, hi in bounds])
     return scheme, params, x
@@ -304,8 +312,9 @@ def test_repair_row_equals_report_value(scheme, cell):
     params = make_params(si_cancellation_db=70, **cell)
     problem = _Problem(scheme, params)
     labels = ("bh_dl", "bh_ul", "rho_lo", "rho_hi")
-    rows = {label: optimizer_mod._row_violation(scheme, params, label)
-            for label in labels}
+    rows = {label: optimizer_mod._row_violation(problem.kernel, slack)
+            for label, slack in slack_rows(scheme, params)
+            if label in labels}
     violated = set()
     for index in range(50):
         alloc = optimizer_mod._draw_start(
@@ -342,26 +351,49 @@ def _replace_bisection(shrinks):
     return shrink_power
 
 
+def _one_pass_repair(scheme, params, raw, tol, shrinks):
+    """Repair as one pass over a `constraints()` report at the clipped
+    start, bisecting on `PowerAllocation` objects and on report values."""
+    caps = dict(p_d=params.p_an_max, p_u=params.p_ue_max,
+                p_bh_d=params.p_bh_d_max, p_bh_u=params.p_an_max,
+                p_u_d2d=params.p_ue_max)
+    alloc = replace(raw, eta=min(max(raw.eta, 0.0), 1.0),
+                    **{name: min(getattr(raw, name), cap)
+                       for name, cap in caps.items()})
+    if links(scheme, params).shared_budget:
+        total = alloc.p_d + alloc.p_bh_u
+        if total > params.p_an_max:
+            f = params.p_an_max / total
+            alloc = replace(alloc, p_d=alloc.p_d * f, p_bh_u=alloc.p_bh_u * f)
+    shrink = _replace_bisection(shrinks)
+    for label, value in constraints(scheme, params, alloc, tol).values:
+        field = {"bh_dl": "p_d", "rho_lo": "p_d",
+                 "bh_ul": "p_u", "rho_hi": "p_u"}.get(label)
+        if field is not None and value > tol:
+            alloc = shrink(alloc, field, lambda a, label=label: constraints(
+                scheme, params, PowerAllocation(*a)).value(label))
+    return alloc, caps
+
+
 @pytest.mark.parametrize("scheme", list(Scheme))
-def test_repair_returns_feasible_start_or_none(monkeypatch, scheme,
-                                               reference_params):
+def test_repair_is_one_pass_over_the_clipped_start(scheme, reference_params):
     problem = _Problem(scheme, reference_params)
     shrinks = []
-    repaired = []
     for index in range(50):
         raw = optimizer_mod._draw_start(
             problem, np.random.default_rng([42, index]))
+        if index % 2:
+            # every other start lies outside the boxes, to exercise clips
+            raw = replace(raw, p_d=10 * raw.p_d, p_u=10 * raw.p_u,
+                          p_bh_d=10 * raw.p_bh_d, p_bh_u=10 * raw.p_bh_u,
+                          eta=2 * raw.eta - 0.5)
         alloc = repair_start(scheme, reference_params, raw, 1e-6)
-        with monkeypatch.context() as patch:
-            patch.setattr(optimizer_mod, "_shrink_power",
-                          _replace_bisection(shrinks))
-            expected = repair_start(scheme, reference_params, raw, 1e-6)
+        expected, caps = _one_pass_repair(scheme, reference_params, raw,
+                                          1e-6, shrinks)
         assert alloc == expected
-        if alloc is not None:
-            alloc.check()
-            assert constraints(scheme, reference_params, alloc).feasible
-            repaired.append(alloc)
-    assert repaired
+        alloc.check()
+        for name, cap in caps.items():
+            assert getattr(alloc, name) <= min(getattr(raw, name), cap), name
     # the starts exercise the bisection on both powers repair shrinks
     assert set(shrinks) == {"p_d", "p_u"}
 
@@ -407,20 +439,32 @@ def test_intra_cell_load_helps_only_under_scarce_backhaul():
     assert rl_best(4, 3) < rl_best(4, 0)
 
 
-def test_repair_recovers_constraint_violations(reference_params):
-    bad = PowerAllocation(p_d=1000.0, p_u=316.0, p_bh_d=1.0, p_bh_u=1000.0,
-                          eta=0.9)
-    repaired = repair_start(Scheme.HALF_DUPLEX, reference_params, bad, 1e-6)
-    assert repaired is not None
-    assert constraints(Scheme.HALF_DUPLEX, reference_params,
-                       repaired).feasible
-
-
 def test_no_feasible_point_error(monkeypatch, reference_params):
-    monkeypatch.setattr(optimizer_mod, "repair_start",
-                        lambda *args, **kwargs: None)
+    infeasible = ConstraintReport(values=(("bh_dl", 1.0),), max_violation=1.0,
+                                  feasible=False, tol=1e-6)
+    monkeypatch.setattr(optimizer_mod, "constraints",
+                        lambda *args, **kwargs: infeasible)
     with pytest.raises(NoFeasiblePointError) as err:
         optimize(Scheme.FULL_DUPLEX, reference_params,
                  OptimizerOptions(n_starts=3))
     assert len(err.value.starts) == 3
-    assert all("unrepairable" in s.status for s in err.value.starts)
+    assert not any(s.feasible for s in err.value.starts)
+    assert all(s.iterations > 0 for s in err.value.starts)
+
+
+@settings(derandomize=True, deadline=None, max_examples=25)
+@given(_valid_cells(), st.integers(0, 2 ** 32 - 1))
+def test_every_start_reaches_slsqp_and_the_optimum_checks_out(cell, seed):
+    scheme, params = cell
+    try:
+        result = optimize(scheme, params,
+                          OptimizerOptions(n_starts=3, rng_seed=seed))
+    except NoFeasiblePointError as exc:
+        starts = exc.starts
+    else:
+        starts = result.starts
+        report = constraints(scheme, params, result.best_alloc)
+        assert report.feasible and result.best_report == report
+        assert result.best_rates == rates(scheme, params, result.best_alloc)
+    assert len(starts) == 3
+    assert not any(s.status.startswith("discarded") for s in starts)

@@ -34,6 +34,8 @@ def test_spec_validation():
         small_spec(kind="intra_cell_pairs", axis=[0, 11]).check()
     with pytest.raises(ConfigError, match="axis_param"):
         small_spec(kind="custom_grid").check()
+    with pytest.raises(ValueError, match="rng_seed"):
+        small_spec(options=OptimizerOptions(rng_seed=-3)).check()
 
 
 def test_single_row_csv(tmp_path):
@@ -294,3 +296,50 @@ def test_cli_sweep_rejects_non_positive_jobs(tmp_path, jobs, capsys):
     assert code == 1
     assert f"error: jobs must be >= 1, got {jobs}" in capsys.readouterr().err
     assert not out.exists()
+
+
+def _write_spec(tmp_path, extra):
+    base = _write_reference_config(tmp_path)
+    spec_file = tmp_path / "sweep.cfg"
+    spec_file.write_text(
+        f"kind = si_cancellation\naxis = 120\nparams = {base}\n"
+        f"schemes = hd\nn_starts = 1\n{extra}\n", encoding="utf-8")
+    return spec_file
+
+
+@pytest.mark.parametrize("flag,expected", [
+    ("TRUE", True), ("Yes", True), ("on", True), ("1", True),
+    ("false", False), ("NO", False), ("Off", False), ("0", False),
+])
+def test_include_baseline_spellings(tmp_path, flag, expected):
+    spec_file = _write_spec(tmp_path, f"include_baseline = {flag}")
+    assert load_sweep_spec(spec_file).include_baseline is expected
+
+
+@pytest.mark.parametrize("flag", ["maybe", "2"])
+def test_cli_sweep_rejects_bad_include_baseline(tmp_path, flag, capsys):
+    spec_file = _write_spec(tmp_path, f"include_baseline = {flag}")
+    out = tmp_path / "rows.csv"
+    code = cli.main(["sweep", "--spec", str(spec_file), "--out", str(out)])
+    assert code == 1
+    assert (f"error: include_baseline must be one of "
+            f"true/false/yes/no/on/off/1/0, got '{flag}'"
+            in capsys.readouterr().err)
+    assert not out.exists()
+
+
+def test_cli_sweep_rejects_negative_seed(tmp_path, capsys):
+    spec_file = _write_spec(tmp_path, "seed = -3")
+    out = tmp_path / "rows.csv"
+    code = cli.main(["sweep", "--spec", str(spec_file), "--out", str(out)])
+    assert code == 1
+    assert "error: rng_seed must be >= 0, got -3" in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_cli_optimize_rejects_negative_seed(tmp_path, capsys):
+    cfg = _write_reference_config(tmp_path)
+    code = cli.main(["optimize", "--scheme", "hd", "--config", str(cfg),
+                     "--seed", "-1"])
+    assert code == 1
+    assert "error: rng_seed must be >= 0, got -1" in capsys.readouterr().err

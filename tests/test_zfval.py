@@ -32,6 +32,15 @@ def test_draw_gain_length_mismatch():
         zfval.draw_channel(40, 16, 4, np.ones(19), seed=1)
 
 
+@pytest.mark.parametrize("count", [10, 25])
+def test_column_norm_gain_length_mismatch(count):
+    # one gain per data row and per SI row: 25 are not cut to 20, and 10
+    # do not reach numpy's broadcast
+    with pytest.raises(ValueError,
+                       match=rf"expected 20 gains .*\({count},\)"):
+        zfval.column_norm_check(40, 4, 16, 10, seed=1, gains=np.ones(count))
+
+
 @pytest.mark.parametrize("bad", [0.0, -1.0, np.inf, np.nan])
 def test_gains_must_be_positive_and_finite(bad):
     gains = np.ones(20)
@@ -145,7 +154,7 @@ def test_inverse_diagonals_equal_eigenvalue_path_on_singular_chunk():
 def test_precoder_exact_nulling_and_diagonal(seed):
     gains = np.ones(20)
     draw = zfval.draw_channel(40, 16, 4, gains, seed=seed)
-    sample = zfval.zf_precoder(draw, mode="fd-null")
+    sample = zfval.zf_precoder(draw)
     assert np.allclose(sample.lam, np.sqrt(1.0 * (40 - 4 - 16)))
     effective = draw.h_t @ sample.w
     diag = np.diagonal(effective)
@@ -156,29 +165,18 @@ def test_precoder_exact_nulling_and_diagonal(seed):
     assert leak <= 1e-10
 
 
-def test_precoder_hd_mode_skips_si_rows():
-    gains = np.concatenate([np.full(4, 1e-8), np.ones(16)])
-    draw = zfval.draw_channel(40, 16, 4, gains, seed=9)
-    sample = zfval.zf_precoder(draw, mode="hd")
-    assert np.allclose(sample.lam, np.sqrt(1e-8 * (40 - 4)))
-    assert np.allclose(np.diagonal(draw.h_t @ sample.w), sample.lam,
-                       rtol=1e-10)
-
-
 def test_precoder_condition_test_ignores_path_gains():
     # UE rows at 110 dB path loss stacked on the AN's own receive rows
     gains = np.concatenate([np.full(4, 1e-11), np.ones(16)])
     draw = zfval.draw_channel(40, 16, 4, gains, seed=3)
-    sample = zfval.zf_precoder(draw, mode="fd-null")
+    sample = zfval.zf_precoder(draw)
     assert np.allclose(sample.lam, np.sqrt(1e-11 * (40 - 4 - 16)))
 
 
 def test_precoder_requires_antenna_margin():
     draw = zfval.draw_channel(20, 16, 4, np.ones(20), seed=2)
     with pytest.raises(ValueError, match="antennas"):
-        zfval.zf_precoder(draw, mode="fd-null")
-    with pytest.raises(ValueError, match="mode"):
-        zfval.zf_precoder(draw, mode="zf")
+        zfval.zf_precoder(draw)
 
 
 def test_wishart_trace_small_case():
