@@ -14,7 +14,6 @@ from .model import (
 from .rates import RateBreakdown, SinrSet, rates, sinr_set
 from .feasibility import ConstraintReport, constraints
 from .optimizer import (
-    NoFeasiblePointError,
     OptimizerOptions,
     OptResult,
     baseline,
@@ -26,7 +25,6 @@ __version__ = "0.1.0"
 __all__ = [
     "ConfigError",
     "ConstraintReport",
-    "NoFeasiblePointError",
     "OptResult",
     "OptimizerOptions",
     "PowerAllocation",

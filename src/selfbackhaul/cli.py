@@ -6,7 +6,8 @@ Subcommands::
     sweep        run a parameter sweep from a spec file, emit CSV
     validate-zf  Monte-Carlo checks of the precoder model, text + CSV
 
-Exit codes: 0 success, 1 configuration/structural error, 2 infeasibility.
+Exit codes: 0 success, 1 configuration/structural error.  When no start
+ends feasible, ``optimize`` says so and reports the zero-power point.
 """
 
 from __future__ import annotations
@@ -18,7 +19,7 @@ from pathlib import Path
 from .feasibility import constraints
 from .model import (ConfigError, PowerAllocation, Scheme, StructuralError,
                     load_params, params_from_db)
-from .optimizer import NoFeasiblePointError, OptimizerOptions, baseline, optimize
+from .optimizer import OptimizerOptions, baseline, optimize
 from .sweep import emit_csv, load_sweep_spec, preset_path, run_sweep
 from . import zfval
 
@@ -67,6 +68,8 @@ def _cmd_optimize(args) -> int:
         rb, report = result.best_rates, result.best_report
         print(f"optimized {scheme.value}: {result.converged_count}/"
               f"{opts.n_starts} starts converged")
+        if not any(s.feasible for s in result.starts):
+            print("  no start ended feasible: reporting the zero-power point")
     a = rb.alloc
     print(f"  c_s   = {rb.c_s:.6f} bits/s/Hz "
           f"(c_d={rb.c_d:.6f}, c_u={rb.c_u:.6f}, c_ic={rb.c_ic:.6f})")
@@ -100,6 +103,8 @@ _VALIDATION_CELL = dict(
 
 def _cmd_validate_zf(args) -> int:
     trials, seed = args.trials, args.seed
+    if seed < 0:
+        raise ConfigError(f"seed must be >= 0, got {seed}")
     checks = []
     checks.append(zfval.column_norm_check(40, 4, 16, trials, seed))
     checks.extend(zfval.exactness_check(40, 4, 16, min(200, trials),
@@ -139,9 +144,6 @@ def main(argv=None) -> int:
         if args.command == "sweep":
             return _cmd_sweep(args)
         return _cmd_validate_zf(args)
-    except NoFeasiblePointError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
     except (ConfigError, StructuralError, FileNotFoundError, OSError,
             ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)

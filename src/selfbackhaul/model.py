@@ -10,6 +10,7 @@ are usually specified.
 from __future__ import annotations
 
 import math
+import operator
 from dataclasses import dataclass
 from enum import Enum
 from functools import lru_cache
@@ -145,6 +146,18 @@ def gain_to_db_loss(gain: float) -> float:
     return -10.0 * math.log10(gain)
 
 
+def require_integer(key: str, value) -> int:
+    """``value`` as an int; a ConfigError naming ``key`` unless it is a
+    whole number (an int, or a finite float with no fractional part)."""
+    if isinstance(value, float) and value.is_integer():
+        return int(value)
+    try:
+        return operator.index(value)
+    except TypeError:
+        raise ConfigError(
+            f"{key} must be an integer, got {value!r}") from None
+
+
 def params_from_db(raw: Mapping[str, float]) -> SystemParams:
     """Build SystemParams from a dB/dBm-scale key-value map.
 
@@ -158,10 +171,7 @@ def params_from_db(raw: Mapping[str, float]) -> SystemParams:
 
     counts = {}
     for key in _COUNT_KEYS:
-        value = raw[key]
-        if isinstance(value, float) and not value.is_integer():
-            raise ConfigError(f"{key} must be an integer count, got {value}")
-        value = int(value)
+        value = require_integer(key, raw[key])
         if value < 0:
             raise ConfigError(f"{key} must be >= 0, got {value}")
         counts[key] = value

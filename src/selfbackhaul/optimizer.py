@@ -19,7 +19,9 @@ takes its violated rows from one kernel call, and bisects a power on the
 allocation's values as a plain list with one kernel call per step.
 
 The best feasible local maximum over all starts is returned together with
-per-start diagnostics; results are deterministic for a fixed seed.
+per-start diagnostics; when no start ends feasible, the zero-power point,
+which is feasible in every valid cell, is returned instead.  Results are
+deterministic for a fixed seed.
 """
 
 from __future__ import annotations
@@ -88,15 +90,10 @@ class OptResult:
     converged_count: int = 0
 
 
-class NoFeasiblePointError(RuntimeError):
-    """No start produced a feasible point; carries per-start diagnostics."""
-
-    def __init__(self, scheme, starts):
-        self.scheme = scheme
-        self.starts = starts
-        super().__init__(
-            f"no feasible point found for {scheme.value} across "
-            f"{len(starts)} starts")
+def _caps(params: SystemParams):
+    """The power caps, in `PowerAllocation.as_tuple` order."""
+    return (params.p_an_max, params.p_ue_max, params.p_bh_d_max,
+            params.p_an_max, params.p_ue_max)
 
 
 class _Problem:
@@ -128,12 +125,9 @@ class _Problem:
                       for label, slack in slack_rows(scheme, params)
                       if label not in boxed]
 
-        caps = [params.p_an_max, params.p_ue_max,
-                params.p_bh_d_max, params.p_an_max]
-        if self.has_d2d:
-            caps.append(params.p_ue_max)
-        self.n_powers = len(caps)
-        self._bounds = [(_LOG_FLOOR, np.log10(c)) for c in caps]
+        self.n_powers = 5 if self.has_d2d else 4
+        self._bounds = [(_LOG_FLOOR, np.log10(c))
+                        for c in _caps(params)[:self.n_powers]]
         if self.has_eta:
             self.eta_idx = len(self._bounds)
             self._bounds.append((0.0, 1.0))
@@ -298,20 +292,11 @@ def _scaled(slack, scale):
 
 
 def _draw_start(problem: _Problem, rng) -> PowerAllocation:
-    params = problem.params
-
-    def log_uniform(cap):
-        lo, hi = np.log10(_P_START_FLOOR_MW), np.log10(cap)
-        return 10.0 ** rng.uniform(lo, hi)
-
-    return PowerAllocation(
-        p_d=log_uniform(params.p_an_max),
-        p_u=log_uniform(params.p_ue_max),
-        p_bh_d=log_uniform(params.p_bh_d_max),
-        p_bh_u=log_uniform(params.p_an_max),
-        p_u_d2d=log_uniform(params.p_ue_max) if problem.has_d2d else 0.0,
-        eta=rng.uniform(0.0, 1.0) if problem.has_eta else 0.5,
-    )
+    p = [10.0 ** rng.uniform(np.log10(_P_START_FLOOR_MW), np.log10(cap))
+         for cap in _caps(problem.params)[:problem.n_powers]]
+    p_u_d2d = p[4] if problem.has_d2d else 0.0
+    eta = rng.uniform(0.0, 1.0) if problem.has_eta else 0.5
+    return PowerAllocation(*p[:4], p_u_d2d=p_u_d2d, eta=eta)
 
 
 def _row_violation(kernel, slack):
@@ -377,13 +362,8 @@ def repair_start(scheme: Scheme, params: SystemParams,
     require_valid(params, scheme)
     # box clips
     alloc = PowerAllocation(
-        p_d=min(alloc.p_d, params.p_an_max),
-        p_u=min(alloc.p_u, params.p_ue_max),
-        p_bh_d=min(alloc.p_bh_d, params.p_bh_d_max),
-        p_bh_u=min(alloc.p_bh_u, params.p_an_max),
-        p_u_d2d=min(alloc.p_u_d2d, params.p_ue_max),
-        eta=min(max(alloc.eta, 0.0), 1.0),
-    )
+        *(min(p, cap) for p, cap in zip(alloc.as_tuple(), _caps(params))),
+        eta=min(max(alloc.eta, 0.0), 1.0))
     scheme_links = links(scheme, params)
     if scheme_links.shared_budget:
         total = alloc.p_d + alloc.p_bh_u
@@ -410,8 +390,10 @@ def optimize(scheme: Scheme, params: SystemParams,
     """Maximize the scheme sum-rate over transmit powers (and eta).
 
     Runs ``opts.n_starts`` independent SLSQP solves from randomized,
-    repaired starting points and returns the best feasible result.  Raises
-    NoFeasiblePointError when no start ends on a feasible point.
+    repaired starting points and returns the best feasible result.  When
+    no start ends on a feasible point, the result is the zero-power point
+    (feasible in every valid cell), its rates and its report, with a
+    ``converged_count`` of 0; the per-start records show what happened.
     """
     opts = opts or OptimizerOptions()
     opts.check()
@@ -465,7 +447,9 @@ def optimize(scheme: Scheme, params: SystemParams,
 
     converged_count = sum(1 for s in starts if s.converged and s.feasible)
     if best is None:
-        raise NoFeasiblePointError(scheme, starts)
+        off = PowerAllocation(0.0, 0.0, 0.0, 0.0)
+        best = (rates(scheme, params, off),
+                constraints(scheme, params, off, opts.feasibility_tol))
 
     best_rates, best_report = best
     return OptResult(scheme=scheme, best_alloc=best_rates.alloc,
@@ -488,18 +472,12 @@ def baseline(scheme: Scheme, params: SystemParams):
     carries the raw constraint values at the evaluated point.
     """
     require_valid(params, scheme)
+    p = list(_caps(params))
     if links(scheme, params).shared_budget:
-        p_d = p_bh_u = 0.5 * params.p_an_max
-    else:
-        p_d = p_bh_u = params.p_an_max
-    alloc = PowerAllocation(
-        p_d=p_d,
-        p_u=params.p_ue_max,
-        p_bh_d=params.p_bh_d_max,
-        p_bh_u=p_bh_u,
-        p_u_d2d=params.p_ue_max if params.k_d2d > 0 else 0.0,
-        eta=0.5,
-    )
+        p[0] = p[3] = 0.5 * params.p_an_max
+    if params.k_d2d == 0:
+        p[4] = 0.0
+    alloc = PowerAllocation(*p, eta=0.5)
     raw = rates(scheme, params, alloc)
     c_d = min(raw.c_d, raw.c_bh_d)
     c_u = min(raw.c_u, raw.c_bh_u)

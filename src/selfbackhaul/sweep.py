@@ -16,7 +16,7 @@ from importlib import resources
 from pathlib import Path
 
 from .model import (CONFIG_KEYS, ConfigError, Scheme, parse_config_text,
-                    params_from_db, validate)
+                    params_from_db, require_integer, validate)
 from .optimizer import OptimizerOptions, baseline, optimize
 from .rates import rates
 
@@ -61,7 +61,8 @@ class SweepSpec:
                 raise ConfigError(
                     f"custom_grid needs axis_param from {CONFIG_KEYS}")
         if self.kind == "intra_cell_pairs":
-            cap = min(int(self.base_db["d"]), int(self.base_db["u"]))
+            cap = min(require_integer(key, self.base_db[key])
+                      for key in ("d", "u"))
             if max(self.axis) > cap:
                 raise ConfigError(
                     f"intra-cell pair count exceeds min(d, u) = {cap}")
@@ -249,7 +250,8 @@ def load_sweep_spec(path) -> SweepSpec:
     if "axis" in raw:
         axis = _parse_axis(raw["axis"], kind)
     elif kind == "intra_cell_pairs":
-        axis = list(range(0, min(int(base_db["d"]), int(base_db["u"]))))
+        axis = list(range(0, min(require_integer(key, base_db[key])
+                                 for key in ("d", "u"))))
     else:
         raise ConfigError("sweep spec needs an 'axis'")
 
@@ -257,9 +259,9 @@ def load_sweep_spec(path) -> SweepSpec:
                str(raw.get("schemes", "fd,hd,rl")).split(",")]
     options = OptimizerOptions()
     if "seed" in raw:
-        options.rng_seed = int(raw["seed"])
+        options.rng_seed = require_integer("seed", raw["seed"])
     if "n_starts" in raw:
-        options.n_starts = int(raw["n_starts"])
+        options.n_starts = require_integer("n_starts", raw["n_starts"])
 
     flag = str(raw.get("include_baseline", "true")).lower()
     if flag not in _FLAGS:

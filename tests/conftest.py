@@ -1,3 +1,4 @@
+from hypothesis import strategies as st
 import pytest
 
 from selfbackhaul.model import params_from_db
@@ -31,3 +32,14 @@ def small_params():
 
 def make_params(**overrides):
     return params_from_db({**REFERENCE_DB, **overrides})
+
+
+@st.composite
+def valid_params(draw):
+    """A random cell valid for every scheme: any SI, 1-6 backhaul streams
+    and 0-3 intra-cell pairs, relayed or direct."""
+    m_bh_t = draw(st.integers(1, 6))
+    pairs = draw(st.sampled_from(["k_an", "k_d2d"]))
+    return make_params(
+        si_cancellation_db=draw(st.floats(60.0, 140.0)),
+        m_bh_t=m_bh_t, m_bh_r=2 * m_bh_t, **{pairs: draw(st.integers(0, 3))})

@@ -1,12 +1,13 @@
 """Constraint vector evaluation and reporting."""
 
+from hypothesis import example, given, settings
 import pytest
 
 from selfbackhaul.feasibility import constraints
 from selfbackhaul.model import PowerAllocation, Scheme
 from selfbackhaul.rates import rates
 
-from conftest import make_params
+from conftest import make_params, valid_params
 
 
 def alloc(p_d=0.0, p_u=0.0, p_bh_d=0.0, p_bh_u=0.0, p_u_d2d=0.0, eta=0.5):
@@ -42,10 +43,14 @@ def test_hd_backhaul_ul_sign_against_independent_oracle(reference_params):
         82.44680961050855 - 115.86049447264217, rel=1e-12)
 
 
-def test_zero_power_point_feasible_for_any_eta(reference_params):
+@settings(derandomize=True, deadline=None)
+@given(valid_params())
+@example(make_params())
+def test_zero_power_point_feasible_for_any_eta(params):
+    # the point `optimize` falls back to when no start ends feasible
     for scheme in Scheme:
         for eta in (0.0, 0.37, 1.0):
-            report = constraints(scheme, reference_params, alloc(eta=eta))
+            report = constraints(scheme, params, alloc(eta=eta))
             assert report.feasible, (scheme, eta)
             assert report.value("bh_dl") == 0.0
             assert report.value("bh_ul") == 0.0

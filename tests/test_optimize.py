@@ -9,13 +9,14 @@ from scipy.optimize import minimize
 
 from selfbackhaul import _kernels
 from selfbackhaul.feasibility import ConstraintReport, constraints, slack_rows
-from selfbackhaul.model import PowerAllocation, Scheme, links
-from selfbackhaul.optimizer import (NoFeasiblePointError, OptimizerOptions,
-                                   _Problem, baseline, optimize, repair_start)
+from selfbackhaul.model import PowerAllocation, Scheme, links, params_from_db
+from selfbackhaul.optimizer import (OptimizerOptions, _Problem, baseline,
+                                   optimize, repair_start)
 from selfbackhaul.rates import rates
+from selfbackhaul.sweep import load_sweep_spec, preset_path
 import selfbackhaul.optimizer as optimizer_mod
 
-from conftest import make_params
+from conftest import make_params, valid_params
 
 FAST = dict(n_starts=10, rng_seed=42)
 
@@ -279,11 +280,7 @@ def test_derivatives_equal_separate_central_differences(monkeypatch, scheme,
 @st.composite
 def _valid_cells(draw):
     """A random valid cell and scheme."""
-    m_bh_t = draw(st.integers(1, 6))
-    pairs = draw(st.sampled_from(["k_an", "k_d2d"]))
-    params = make_params(
-        si_cancellation_db=draw(st.floats(60.0, 140.0)),
-        m_bh_t=m_bh_t, m_bh_r=2 * m_bh_t, **{pairs: draw(st.integers(0, 3))})
+    params = draw(valid_params())
     return draw(st.sampled_from(list(Scheme))), params
 
 
@@ -439,32 +436,58 @@ def test_intra_cell_load_helps_only_under_scarce_backhaul():
     assert rl_best(4, 3) < rl_best(4, 0)
 
 
-def test_no_feasible_point_error(monkeypatch, reference_params):
+_OFF = PowerAllocation(0.0, 0.0, 0.0, 0.0)
+
+
+def _assert_zero_power_optimum(result, scheme, params):
+    assert not any(s.feasible for s in result.starts)
+    assert result.best_alloc == _OFF and result.converged_count == 0
+    assert result.best_rates == rates(scheme, params, _OFF)
+    assert result.best_rates.c_s == 0.0
+    assert result.best_report == constraints(scheme, params, _OFF)
+    assert result.best_report.feasible
+
+
+def test_no_feasible_start_returns_the_zero_power_point(monkeypatch,
+                                                        reference_params):
+    # every point with a power on reports infeasible, as no SLSQP end point
+    # has a power at zero
     infeasible = ConstraintReport(values=(("bh_dl", 1.0),), max_violation=1.0,
                                   feasible=False, tol=1e-6)
-    monkeypatch.setattr(optimizer_mod, "constraints",
-                        lambda *args, **kwargs: infeasible)
-    with pytest.raises(NoFeasiblePointError) as err:
-        optimize(Scheme.FULL_DUPLEX, reference_params,
-                 OptimizerOptions(n_starts=3))
-    assert len(err.value.starts) == 3
-    assert not any(s.feasible for s in err.value.starts)
-    assert all(s.iterations > 0 for s in err.value.starts)
+    real = optimizer_mod.constraints
+
+    def infeasible_unless_off(scheme, params, alloc, *args):
+        if alloc != _OFF:
+            return infeasible
+        return real(scheme, params, alloc, *args)
+
+    monkeypatch.setattr(optimizer_mod, "constraints", infeasible_unless_off)
+    result = optimize(Scheme.FULL_DUPLEX, reference_params,
+                      OptimizerOptions(n_starts=3))
+    _assert_zero_power_optimum(result, Scheme.FULL_DUPLEX, reference_params)
+    assert len(result.starts) == 3
+    assert all(s.iterations > 0 for s in result.starts)
+
+
+def test_fig4a_point_where_the_one_start_ends_infeasible():
+    # fig4a at 63 dB: full duplex's only start at seed 2 stops with SLSQP
+    # status 8 on an infeasible point
+    db = load_sweep_spec(preset_path("fig4a")).base_db
+    params = params_from_db(dict(db, si_cancellation_db=63))
+    result = optimize(Scheme.FULL_DUPLEX, params,
+                      OptimizerOptions(n_starts=1, rng_seed=2))
+    _assert_zero_power_optimum(result, Scheme.FULL_DUPLEX, params)
+    assert result.starts[0].iterations > 0
 
 
 @settings(derandomize=True, deadline=None, max_examples=25)
 @given(_valid_cells(), st.integers(0, 2 ** 32 - 1))
 def test_every_start_reaches_slsqp_and_the_optimum_checks_out(cell, seed):
     scheme, params = cell
-    try:
-        result = optimize(scheme, params,
-                          OptimizerOptions(n_starts=3, rng_seed=seed))
-    except NoFeasiblePointError as exc:
-        starts = exc.starts
-    else:
-        starts = result.starts
-        report = constraints(scheme, params, result.best_alloc)
-        assert report.feasible and result.best_report == report
-        assert result.best_rates == rates(scheme, params, result.best_alloc)
-    assert len(starts) == 3
-    assert not any(s.status.startswith("discarded") for s in starts)
+    result = optimize(scheme, params,
+                      OptimizerOptions(n_starts=3, rng_seed=seed))
+    report = constraints(scheme, params, result.best_alloc)
+    assert report.feasible and result.best_report == report
+    assert result.best_rates == rates(scheme, params, result.best_alloc)
+    assert len(result.starts) == 3
+    assert not any(s.status.startswith("discarded") for s in result.starts)

@@ -6,7 +6,7 @@ import pytest
 
 from selfbackhaul import cli
 from selfbackhaul.model import ConfigError, Scheme, params_from_db
-from selfbackhaul.optimizer import NoFeasiblePointError, OptimizerOptions
+from selfbackhaul.optimizer import OptimizerOptions
 from selfbackhaul.rates import rates
 from selfbackhaul.model import PowerAllocation
 from selfbackhaul.sweep import (CSV_HEADER, SweepRow, SweepSpec, emit_csv,
@@ -237,16 +237,39 @@ def test_cli_bad_config_exit_code(tmp_path, capsys):
     assert "error" in capsys.readouterr().err
 
 
-def test_cli_infeasible_exit_code(tmp_path, monkeypatch, capsys):
-    cfg = _write_reference_config(tmp_path)
+def test_cli_optimize_says_when_no_start_ended_feasible(tmp_path, capsys):
+    # the reference cell at 63 dB: full duplex's only start at seed 2 ends
+    # infeasible
+    cfg = tmp_path / "cell.cfg"
+    cfg.write_text("\n".join(f"{k} = {v}" for k, v in dict(
+        REFERENCE_DB, si_cancellation_db=63).items()), encoding="utf-8")
+    code = cli.main(["optimize", "--scheme", "fd", "--config", str(cfg),
+                     "--seed", "2", "--starts", "1"])
+    out = capsys.readouterr().out
+    assert code == 0
+    assert "optimized fd: 0/1 starts converged" in out
+    assert "no start ended feasible: reporting the zero-power point" in out
+    assert "c_s   = 0.000000" in out and "feasible=true" in out
 
-    def explode(*args, **kwargs):
-        raise NoFeasiblePointError(Scheme.HALF_DUPLEX, [])
 
-    monkeypatch.setattr(cli, "optimize", explode)
-    code = cli.main(["optimize", "--scheme", "hd", "--config", str(cfg)])
-    assert code == 2
-    assert "no feasible point" in capsys.readouterr().err
+def test_cli_sweep_keeps_going_past_a_point_with_no_feasible_start(
+        tmp_path, capsys):
+    spec_file = tmp_path / "sweep.cfg"
+    spec_file.write_text(
+        f"kind = si_cancellation\naxis = 60:66:3\n"
+        f"params = {preset_path('default')}\nschemes = fd\n"
+        "include_baseline = false\nseed = 2\nn_starts = 1\n",
+        encoding="utf-8")
+    out = tmp_path / "rows.csv"
+    code = cli.main(["sweep", "--spec", str(spec_file), "--out", str(out)])
+    assert code == 0
+    lines = out.read_text(encoding="utf-8").splitlines()
+    assert lines[0] == CSV_HEADER and len(lines) == 4
+    # 63 dB: every rate and power at zero, eta at its convention, no start
+    # converged
+    assert lines[2] == "63,fd,true,false," + "0," * 11 + "0.5,0"
+    assert [line.split(",")[-1] != "0" for line in lines[1:]] == [
+        True, False, True]
 
 
 def test_cli_sweep_writes_csv(tmp_path, capsys):
@@ -335,6 +358,47 @@ def test_cli_sweep_rejects_negative_seed(tmp_path, capsys):
     assert code == 1
     assert "error: rng_seed must be >= 0, got -3" in capsys.readouterr().err
     assert not out.exists()
+
+
+@pytest.mark.parametrize("line,message", [
+    ("seed = 1.5", "seed must be an integer, got 1.5"),
+    ("seed = abc", "seed must be an integer, got 'abc'"),
+    ("n_starts = 2.7", "n_starts must be an integer, got 2.7"),
+    ("n_starts = 1e400", "n_starts must be an integer, got inf"),
+    ("d = 1e400", "d must be an integer, got inf"),
+])
+def test_cli_sweep_rejects_non_integer_counts(tmp_path, line, message,
+                                              capsys):
+    # with no axis, the pair sweep's axis is read from d and u
+    base = _write_reference_config(tmp_path)
+    spec_file = tmp_path / "sweep.cfg"
+    spec_file.write_text(
+        f"kind = intra_cell_pairs\nparams = {base}\nschemes = hd\n"
+        f"{line}\n", encoding="utf-8")
+    out = tmp_path / "rows.csv"
+    code = cli.main(["sweep", "--spec", str(spec_file), "--out", str(out)])
+    assert code == 1
+    assert f"error: {message}" in capsys.readouterr().err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("value,shown", [("abc", "'abc'"), ("2.5", "2.5"),
+                                         ("1e400", "inf")])
+def test_cli_optimize_rejects_non_integer_count(tmp_path, value, shown,
+                                                capsys):
+    cfg = tmp_path / "cell.cfg"
+    cfg.write_text("\n".join(f"{k} = {v}" for k, v in dict(
+        REFERENCE_DB, n_t=value).items()), encoding="utf-8")
+    code = cli.main(["optimize", "--scheme", "hd", "--config", str(cfg)])
+    assert code == 1
+    assert (f"error: n_t must be an integer, got {shown}"
+            in capsys.readouterr().err)
+
+
+def test_cli_validate_zf_rejects_negative_seed(capsys):
+    code = cli.main(["validate-zf", "--trials", "1000", "--seed", "-1"])
+    assert code == 1
+    assert "error: seed must be >= 0, got -1" in capsys.readouterr().err
 
 
 def test_cli_optimize_rejects_negative_seed(tmp_path, capsys):
