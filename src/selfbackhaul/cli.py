@@ -66,8 +66,9 @@ def _cmd_optimize(args) -> int:
         opts = OptimizerOptions(n_starts=args.starts, rng_seed=args.seed)
         result = optimize(scheme, params, opts)
         rb, report = result.best_rates, result.best_report
-        print(f"optimized {scheme.value}: {result.converged_count}/"
-              f"{opts.n_starts} starts converged")
+        ran = len(result.starts)
+        print(f"optimized {scheme.value}: {result.converged_count}/{ran} "
+              f"starts converged ({ran} of at most {opts.n_starts} run)")
         if not any(s.feasible for s in result.starts):
             print("  no start ended feasible: reporting the zero-power point")
     a = rb.alloc

@@ -18,10 +18,15 @@ never sees, reuses one kernel call at the iterate, so a pass costs
 takes its violated rows from one kernel call, and bisects a power on the
 allocation's values as a plain list with one kernel call per step.
 
-The best feasible local maximum over all starts is returned together with
-per-start diagnostics; when no start ends feasible, the zero-power point,
-which is feasible in every valid cell, is returned instead.  Results are
-deterministic for a fixed seed.
+Starts run until ``patience`` of them in a row, counted once some start
+has ended feasible, fail to raise the best sum-rate by more than 1e-6
+relative, or until ``n_starts`` have run.  Each start draws from its own
+stream, ``default_rng([seed, index])``, so the starts that run are
+exactly a prefix of the starts a ``patience = 0`` run makes.
+The best feasible local maximum over the starts that ran is returned
+together with per-start diagnostics; when no start ends feasible, the
+zero-power point, which is feasible in every valid cell, is returned
+instead.  Results are deterministic for a fixed seed.
 """
 
 from __future__ import annotations
@@ -48,6 +53,7 @@ _FD_STEP = 1e-6             # relative central-difference step
 _MAX_ITERATIONS = 150       # SLSQP iterations per start
 _OBJECTIVE_TOL = 1e-9       # SLSQP ftol
 _SLSQP_ITERATION_LIMIT = 9  # scipy SLSQP exit status for maxiter reached
+_RISE_RTOL = 1e-6           # relative rise of the best that resets patience
 # Shrinking the power named on the right drives the row's violation to
 # zero monotonically (the cross terms only help).
 _SHRINK_FIELD = {"bh_dl": "p_d", "rho_lo": "p_d",
@@ -57,13 +63,16 @@ _ALLOC_FIELDS = tuple(f.name for f in fields(PowerAllocation))
 
 @dataclass
 class OptimizerOptions:
-    n_starts: int = 50
+    n_starts: int = 50      # the cap on the starts run
     rng_seed: int = 42
     feasibility_tol: float = 1e-6
+    patience: int = 5       # stop after this many starts with no rise; 0: never
 
     def check(self):
         if self.n_starts < 1:
             raise ValueError("n_starts must be >= 1")
+        if self.patience < 0:
+            raise ValueError(f"patience must be >= 0, got {self.patience}")
         if self.rng_seed < 0:
             raise ValueError(f"rng_seed must be >= 0, got {self.rng_seed}")
         if self.feasibility_tol <= 0:
@@ -389,8 +398,13 @@ def optimize(scheme: Scheme, params: SystemParams,
              opts: OptimizerOptions | None = None) -> OptResult:
     """Maximize the scheme sum-rate over transmit powers (and eta).
 
-    Runs ``opts.n_starts`` independent SLSQP solves from randomized,
-    repaired starting points and returns the best feasible result.  When
+    Runs independent SLSQP solves from randomized, repaired starting
+    points and returns the best feasible result.  It stops before the next
+    start once ``opts.patience`` starts in a row have not raised the best
+    ``c_s`` by more than 1e-6 relative; an infeasible start counts toward
+    that only after some start has ended feasible.  At most
+    ``opts.n_starts`` starts run, and ``opts.patience = 0`` runs them all;
+    ``len(result.starts)`` is the number that ran.  When
     no start ends on a feasible point, the result is the zero-power point
     (feasible in every valid cell), its rates and its report, with a
     ``converged_count`` of 0; the per-start records show what happened.
@@ -402,8 +416,11 @@ def optimize(scheme: Scheme, params: SystemParams,
     problem = _Problem(scheme, params)
     starts = []
     best = None  # (rates, report) of the best feasible start
+    stale = 0    # starts since the best last rose by more than _RISE_RTOL
 
     for index in range(opts.n_starts):
+        if opts.patience and stale >= opts.patience:
+            break
         rng = np.random.default_rng([opts.rng_seed, index])
         raw = _draw_start(problem, rng)
         repaired = repair_start(scheme, params, raw, opts.feasibility_tol)
@@ -436,11 +453,16 @@ def optimize(scheme: Scheme, params: SystemParams,
         # (solver stalls routinely end exactly on the constrained optimum)
         feasible = report.feasible and res.status != _SLSQP_ITERATION_LIMIT
         objective = float("nan")
+        rose = False
         if feasible:
             rb = rates(scheme, params, alloc)
             objective = rb.c_s
             if best is None or objective > best[0].c_s:
+                rose = (best is None or objective - best[0].c_s
+                        > _RISE_RTOL * best[0].c_s)
                 best = (rb, report)
+        if best is not None:
+            stale = 0 if rose else stale + 1
         converged = bool(res.success)
         starts.append(StartSummary(index, objective, feasible, converged,
                                    int(res.nit), str(res.message)))

@@ -195,22 +195,33 @@ def preset_path(name: str) -> Path:
     return Path(str(candidate))
 
 
+def _axis_value(text):
+    """One axis value as a float; a ConfigError naming the axis unless it
+    is a finite number."""
+    try:
+        value = float(text)
+    except ValueError:
+        value = math.nan
+    if not math.isfinite(value):
+        raise ConfigError(f"axis values must be finite numbers, got {text!r}")
+    return value
+
+
 def _parse_axis(text, kind):
-    if isinstance(text, (int, float)):
-        return [text]
+    text = str(text)
     if ":" in text:
         parts = text.split(":")
         if len(parts) not in (2, 3):
             raise ConfigError(f"bad axis range {text!r} (want start:stop[:step])")
-        start, stop = float(parts[0]), float(parts[1])
-        step = float(parts[2]) if len(parts) == 3 else 1.0
+        start, stop = _axis_value(parts[0]), _axis_value(parts[1])
+        step = _axis_value(parts[2]) if len(parts) == 3 else 1.0
         if step <= 0:
             raise ConfigError("axis step must be > 0")
         # the last point may reach stop by round-off, never pass it
         n = math.floor((stop - start) / step + 1e-9)
         values = [min(start + i * step, stop) for i in range(n + 1)]
     else:
-        values = [float(v) for v in text.split(",") if v.strip()]
+        values = [_axis_value(v) for v in text.split(",") if v.strip()]
     if kind in ("intra_cell_pairs", "backhaul_streams"):
         values = [int(round(v)) for v in values]
     return values

@@ -1,8 +1,9 @@
 """Acceptance suite: one test per criterion, one printed line per criterion.
 
 The sweep-based criteria share three module-scoped sweeps (SI cancellation,
-intra-cell pairs with both routings, backhaul streams), all run with the
-default 50 starts and seed 42.  Tolerances are fixed here and nowhere else:
+intra-cell pairs with both routings, backhaul streams), all run with at
+most the default 50 starts and seed 42.  Tolerances are fixed here and
+nowhere else:
 
   1. SI crossovers at 88 / 120 dB, each within +-3 dB
   2. HD sum-rate flat over the SI axis within 1e-6 relative

@@ -1,6 +1,7 @@
 """Multi-start optimizer behavior: determinism, orderings, baselines."""
 
 from dataclasses import replace
+import math
 
 from hypothesis import given, settings, strategies as st
 import numpy as np
@@ -28,6 +29,8 @@ def test_options_validation():
         OptimizerOptions(feasibility_tol=0.0).check()
     with pytest.raises(ValueError, match="rng_seed must be >= 0, got -1"):
         OptimizerOptions(rng_seed=-1).check()
+    with pytest.raises(ValueError, match="patience must be >= 0, got -1"):
+        OptimizerOptions(patience=-1).check()
 
 
 def test_best_point_feasible_and_dominant(reference_params):
@@ -396,7 +399,8 @@ def test_repair_is_one_pass_over_the_clipped_start(scheme, reference_params):
 
 
 def test_reports_carry_plain_python_types(reference_params):
-    result = optimize(Scheme.FULL_DUPLEX, reference_params)
+    result = optimize(Scheme.FULL_DUPLEX, reference_params,
+                      OptimizerOptions(patience=0))
     assert not all(s.feasible for s in result.starts)
     assert all(type(s.feasible) is bool for s in result.starts)
     assert type(result.best_report.feasible) is bool
@@ -448,10 +452,10 @@ def _assert_zero_power_optimum(result, scheme, params):
     assert result.best_report.feasible
 
 
-def test_no_feasible_start_returns_the_zero_power_point(monkeypatch,
-                                                        reference_params):
-    # every point with a power on reports infeasible, as no SLSQP end point
-    # has a power at zero
+@pytest.fixture
+def nothing_feasible(monkeypatch):
+    """Every point with a power on reports infeasible, so no start ends
+    feasible: no SLSQP end point has a power at zero."""
     infeasible = ConstraintReport(values=(("bh_dl", 1.0),), max_violation=1.0,
                                   feasible=False, tol=1e-6)
     real = optimizer_mod.constraints
@@ -462,6 +466,10 @@ def test_no_feasible_start_returns_the_zero_power_point(monkeypatch,
         return real(scheme, params, alloc, *args)
 
     monkeypatch.setattr(optimizer_mod, "constraints", infeasible_unless_off)
+
+
+def test_no_feasible_start_returns_the_zero_power_point(nothing_feasible,
+                                                        reference_params):
     result = optimize(Scheme.FULL_DUPLEX, reference_params,
                       OptimizerOptions(n_starts=3))
     _assert_zero_power_optimum(result, Scheme.FULL_DUPLEX, reference_params)
@@ -491,3 +499,54 @@ def test_every_start_reaches_slsqp_and_the_optimum_checks_out(cell, seed):
     assert result.best_rates == rates(scheme, params, result.best_alloc)
     assert len(result.starts) == 3
     assert not any(s.status.startswith("discarded") for s in result.starts)
+
+
+def _patience_stop(objectives, patience):
+    """How many starts a ``patience`` run makes, from the objectives of the
+    run of every start (nan for an infeasible start).
+
+    A record is a feasible start that raises the best of the starts before
+    it by more than 1e-6 relative, or the first feasible start.  The run
+    stops ``patience`` starts after a record that no later record follows
+    within them, and otherwise runs every start.
+    """
+    records = []
+    best = None
+    for index, value in enumerate(objectives):
+        if math.isnan(value):
+            continue
+        if best is None or value - best > 1e-6 * best:
+            records.append(index)
+        best = value if best is None else max(best, value)
+    for r, later in zip(records, records[1:] + [math.inf]):
+        if later > r + patience:
+            return min(r + patience + 1, len(objectives))
+    return len(objectives)
+
+
+@settings(derandomize=True, deadline=None, max_examples=20)
+@given(_valid_cells(), st.integers(0, 2 ** 32 - 1))
+def test_patience_run_is_the_prefix_the_rule_picks(cell, seed):
+    scheme, params = cell
+    full = optimize(scheme, params, OptimizerOptions(
+        n_starts=12, rng_seed=seed, patience=0))
+    run = optimize(scheme, params, OptimizerOptions(
+        n_starts=12, rng_seed=seed, patience=2))
+    assert len(full.starts) == 12
+    n = len(run.starts)
+    # nan objectives compare unequal, their reprs equal
+    assert repr(run.starts) == repr(full.starts[:n])
+    assert n == _patience_stop([s.objective for s in full.starts], 2)
+    feasible = [s.objective for s in run.starts if s.feasible]
+    assert run.best_rates.c_s == max(feasible, default=0.0)
+    assert run.converged_count == sum(s.converged and s.feasible
+                                      for s in run.starts)
+
+
+def test_leading_infeasible_starts_spend_no_patience(nothing_feasible,
+                                                     reference_params):
+    # with no feasible start the patience count never begins
+    result = optimize(Scheme.FULL_DUPLEX, reference_params,
+                      OptimizerOptions(n_starts=8, patience=2))
+    assert len(result.starts) == 8
+    _assert_zero_power_optimum(result, Scheme.FULL_DUPLEX, reference_params)

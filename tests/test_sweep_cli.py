@@ -6,7 +6,7 @@ import pytest
 
 from selfbackhaul import cli
 from selfbackhaul.model import ConfigError, Scheme, params_from_db
-from selfbackhaul.optimizer import OptimizerOptions
+from selfbackhaul.optimizer import OptimizerOptions, optimize
 from selfbackhaul.rates import rates
 from selfbackhaul.model import PowerAllocation
 from selfbackhaul.sweep import (CSV_HEADER, SweepRow, SweepSpec, emit_csv,
@@ -221,6 +221,16 @@ def test_cli_optimize(tmp_path, capsys):
     assert "feasible=true" in out and "c_s" in out
 
 
+def test_cli_optimize_counts_the_starts_that_ran(tmp_path, capsys):
+    cfg = _write_reference_config(tmp_path)
+    code = cli.main(["optimize", "--scheme", "hd", "--config", str(cfg)])
+    result = optimize(Scheme.HALF_DUPLEX, params_from_db(REFERENCE_DB))
+    ran = len(result.starts)
+    assert code == 0 and ran < 50
+    assert (f"optimized hd: {result.converged_count}/{ran} starts converged "
+            f"({ran} of at most 50 run)") in capsys.readouterr().out
+
+
 def test_cli_optimize_baseline(tmp_path, capsys):
     cfg = _write_reference_config(tmp_path)
     code = cli.main(["optimize", "--scheme", "fd", "--config", str(cfg),
@@ -379,6 +389,27 @@ def test_cli_sweep_rejects_non_integer_counts(tmp_path, line, message,
     code = cli.main(["sweep", "--spec", str(spec_file), "--out", str(out)])
     assert code == 1
     assert f"error: {message}" in capsys.readouterr().err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("kind,axis,shown", [
+    ("backhaul_streams", "1e400", "'inf'"),
+    ("si_cancellation", "1,abc", "'abc'"),
+    ("si_cancellation", "60:1e400", "'1e400'"),
+    ("intra_cell_pairs", "nan", "'nan'"),
+])
+def test_cli_sweep_rejects_bad_axis_values(tmp_path, kind, axis, shown,
+                                           capsys):
+    base = _write_reference_config(tmp_path)
+    spec_file = tmp_path / "sweep.cfg"
+    spec_file.write_text(
+        f"kind = {kind}\naxis = {axis}\nparams = {base}\nschemes = hd\n",
+        encoding="utf-8")
+    out = tmp_path / "rows.csv"
+    code = cli.main(["sweep", "--spec", str(spec_file), "--out", str(out)])
+    assert code == 1
+    assert (f"error: axis values must be finite numbers, got {shown}"
+            in capsys.readouterr().err)
     assert not out.exists()
 
 
