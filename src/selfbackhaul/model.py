@@ -324,12 +324,13 @@ def require_valid(params: SystemParams, scheme: Scheme):
         raise StructuralError(violations)
 
 
-def parse_config_text(text: str, *, known_keys=None) -> dict:
+def parse_config_text(text: str, *, known_keys=None, verbatim=()) -> dict:
     """Parse flat ``name = value`` lines into a dict.
 
     Blank lines and ``#`` comments are ignored.  Values that look like
     integers are returned as int, everything else as float (or as a bare
     string when not numeric, which sweep specs use for enum-like fields).
+    The values of the keys in ``verbatim`` stay strings, as written.
     """
     out = {}
     for lineno, line in enumerate(text.splitlines(), start=1):
@@ -345,7 +346,7 @@ def parse_config_text(text: str, *, known_keys=None) -> dict:
             raise ConfigError(f"line {lineno}: unknown key {name!r}")
         if name in out:
             raise ConfigError(f"line {lineno}: duplicate key {name!r}")
-        out[name] = _parse_scalar(value)
+        out[name] = value if name in verbatim else _parse_scalar(value)
     return out
 
 

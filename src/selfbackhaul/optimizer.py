@@ -18,11 +18,12 @@ never sees, reuses one kernel call at the iterate, so a pass costs
 takes its violated rows from one kernel call, and bisects a power on the
 allocation's values as a plain list with one kernel call per step.
 
-Starts run until ``patience`` of them in a row, counted once some start
-has ended feasible, fail to raise the best sum-rate by more than 1e-6
+Starts run until five of them in a row (``_PATIENCE``), counted once some
+start has ended feasible, fail to raise the best sum-rate by more than 1e-6
 relative, or until ``n_starts`` have run.  Each start draws from its own
 stream, ``default_rng([seed, index])``, so the starts that run are
-exactly a prefix of the starts a ``patience = 0`` run makes.
+exactly a prefix of the ``n_starts`` starts a run without the stopping rule
+would make.
 The best feasible local maximum over the starts that ran is returned
 together with per-start diagnostics; when no start ends feasible, the
 zero-power point, which is feasible in every valid cell, is returned
@@ -54,6 +55,7 @@ _MAX_ITERATIONS = 150       # SLSQP iterations per start
 _OBJECTIVE_TOL = 1e-9       # SLSQP ftol
 _SLSQP_ITERATION_LIMIT = 9  # scipy SLSQP exit status for maxiter reached
 _RISE_RTOL = 1e-6           # relative rise of the best that resets patience
+_PATIENCE = 5               # starts in a row with no such rise before stopping
 # Shrinking the power named on the right drives the row's violation to
 # zero monotonically (the cross terms only help).
 _SHRINK_FIELD = {"bh_dl": "p_d", "rho_lo": "p_d",
@@ -66,13 +68,10 @@ class OptimizerOptions:
     n_starts: int = 50      # the cap on the starts run
     rng_seed: int = 42
     feasibility_tol: float = 1e-6
-    patience: int = 5       # stop after this many starts with no rise; 0: never
 
     def check(self):
         if self.n_starts < 1:
             raise ValueError("n_starts must be >= 1")
-        if self.patience < 0:
-            raise ValueError(f"patience must be >= 0, got {self.patience}")
         if self.rng_seed < 0:
             raise ValueError(f"rng_seed must be >= 0, got {self.rng_seed}")
         if self.feasibility_tol <= 0:
@@ -400,11 +399,11 @@ def optimize(scheme: Scheme, params: SystemParams,
 
     Runs independent SLSQP solves from randomized, repaired starting
     points and returns the best feasible result.  It stops before the next
-    start once ``opts.patience`` starts in a row have not raised the best
+    start once ``_PATIENCE`` (5) starts in a row have not raised the best
     ``c_s`` by more than 1e-6 relative; an infeasible start counts toward
     that only after some start has ended feasible.  At most
-    ``opts.n_starts`` starts run, and ``opts.patience = 0`` runs them all;
-    ``len(result.starts)`` is the number that ran.  When
+    ``opts.n_starts`` starts run; ``len(result.starts)`` is the number
+    that ran.  When
     no start ends on a feasible point, the result is the zero-power point
     (feasible in every valid cell), its rates and its report, with a
     ``converged_count`` of 0; the per-start records show what happened.
@@ -419,7 +418,7 @@ def optimize(scheme: Scheme, params: SystemParams,
     stale = 0    # starts since the best last rose by more than _RISE_RTOL
 
     for index in range(opts.n_starts):
-        if opts.patience and stale >= opts.patience:
+        if stale >= _PATIENCE:
             break
         rng = np.random.default_rng([opts.rng_seed, index])
         raw = _draw_start(problem, rng)

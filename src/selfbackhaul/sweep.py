@@ -208,7 +208,6 @@ def _axis_value(text):
 
 
 def _parse_axis(text, kind):
-    text = str(text)
     if ":" in text:
         parts = text.split(":")
         if len(parts) not in (2, 3):
@@ -234,7 +233,8 @@ def load_sweep_spec(path) -> SweepSpec:
     override the referenced base configuration.
     """
     path = Path(path)
-    raw = parse_config_text(path.read_text(encoding="utf-8"))
+    raw = parse_config_text(path.read_text(encoding="utf-8"),
+                            verbatim={"axis"})
 
     unknown = set(raw) - _SWEEP_KEYS - set(CONFIG_KEYS)
     if unknown:

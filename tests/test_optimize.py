@@ -2,6 +2,7 @@
 
 from dataclasses import replace
 import math
+from unittest import mock
 
 from hypothesis import given, settings, strategies as st
 import numpy as np
@@ -29,8 +30,6 @@ def test_options_validation():
         OptimizerOptions(feasibility_tol=0.0).check()
     with pytest.raises(ValueError, match="rng_seed must be >= 0, got -1"):
         OptimizerOptions(rng_seed=-1).check()
-    with pytest.raises(ValueError, match="patience must be >= 0, got -1"):
-        OptimizerOptions(patience=-1).check()
 
 
 def test_best_point_feasible_and_dominant(reference_params):
@@ -398,9 +397,10 @@ def test_repair_is_one_pass_over_the_clipped_start(scheme, reference_params):
     assert set(shrinks) == {"p_d", "p_u"}
 
 
-def test_reports_carry_plain_python_types(reference_params):
-    result = optimize(Scheme.FULL_DUPLEX, reference_params,
-                      OptimizerOptions(patience=0))
+def test_reports_carry_plain_python_types(reference_params, monkeypatch):
+    # all 50 starts run, some of which end infeasible
+    monkeypatch.setattr(optimizer_mod, "_PATIENCE", 50)
+    result = optimize(Scheme.FULL_DUPLEX, reference_params)
     assert not all(s.feasible for s in result.starts)
     assert all(type(s.feasible) is bool for s in result.starts)
     assert type(result.best_report.feasible) is bool
@@ -502,8 +502,8 @@ def test_every_start_reaches_slsqp_and_the_optimum_checks_out(cell, seed):
 
 
 def _patience_stop(objectives, patience):
-    """How many starts a ``patience`` run makes, from the objectives of the
-    run of every start (nan for an infeasible start).
+    """How many starts a run with ``_PATIENCE = patience`` makes, from the
+    objectives of the run of every start (nan for an infeasible start).
 
     A record is a feasible start that raises the best of the starts before
     it by more than 1e-6 relative, or the first feasible start.  The run
@@ -528,10 +528,11 @@ def _patience_stop(objectives, patience):
 @given(_valid_cells(), st.integers(0, 2 ** 32 - 1))
 def test_patience_run_is_the_prefix_the_rule_picks(cell, seed):
     scheme, params = cell
-    full = optimize(scheme, params, OptimizerOptions(
-        n_starts=12, rng_seed=seed, patience=0))
-    run = optimize(scheme, params, OptimizerOptions(
-        n_starts=12, rng_seed=seed, patience=2))
+    opts = OptimizerOptions(n_starts=12, rng_seed=seed)
+    with mock.patch.object(optimizer_mod, "_PATIENCE", 12):
+        full = optimize(scheme, params, opts)
+    with mock.patch.object(optimizer_mod, "_PATIENCE", 2):
+        run = optimize(scheme, params, opts)
     assert len(full.starts) == 12
     n = len(run.starts)
     # nan objectives compare unequal, their reprs equal
@@ -544,9 +545,11 @@ def test_patience_run_is_the_prefix_the_rule_picks(cell, seed):
 
 
 def test_leading_infeasible_starts_spend_no_patience(nothing_feasible,
-                                                     reference_params):
+                                                     reference_params,
+                                                     monkeypatch):
     # with no feasible start the patience count never begins
+    monkeypatch.setattr(optimizer_mod, "_PATIENCE", 2)
     result = optimize(Scheme.FULL_DUPLEX, reference_params,
-                      OptimizerOptions(n_starts=8, patience=2))
+                      OptimizerOptions(n_starts=8))
     assert len(result.starts) == 8
     _assert_zero_power_optimum(result, Scheme.FULL_DUPLEX, reference_params)
