@@ -216,9 +216,20 @@ def params_to_db(params: SystemParams) -> dict:
 
 def validate(params: SystemParams, scheme: Scheme) -> list:
     """Return every violated structural or DoF invariant (empty = valid)."""
-    v = []
-    p = params
+    return list(links(scheme, params).violations)
 
+
+def require_valid(params: SystemParams, scheme: Scheme) -> Links:
+    """The instance's `links` record; StructuralError if it is invalid."""
+    record = links(scheme, params)
+    if record.violations:
+        raise StructuralError(record.violations)
+    return record
+
+
+def _field_violations(p: SystemParams) -> list:
+    """The violated invariants of the parameter fields, in report order."""
+    v = []
     for key in ("n_t", "n_r", "d", "u"):
         if getattr(p, key) < 1:
             v.append(f"{key} must be >= 1, got {getattr(p, key)}")
@@ -241,11 +252,6 @@ def validate(params: SystemParams, scheme: Scheme) -> list:
     if not (0.0 < p.rho_min <= p.rho_max):
         v.append(f"rho bounds must satisfy 0 < rho_min <= rho_max, "
                  f"got [{p.rho_min}, {p.rho_max}]")
-
-    for name, formula, dof in links(scheme, params).dof_checks:
-        if dof <= 0:
-            v.append(f"{name} <= 0 ({formula} = {dof})")
-
     return v
 
 
@@ -253,7 +259,7 @@ def validate(params: SystemParams, scheme: Scheme) -> list:
 class Links:
     """What the slot table implies for one (scheme, params) instance."""
 
-    dof_checks: tuple     # (name, formula, DoF) of each distinct link DoF
+    violations: tuple     # every violated field or DoF invariant
     time_split: bool      # eta is a variable: some link is not always on
     shared_budget: bool   # p_d and p_bh_u are on at once, sharing p_an_max
     kernel: tuple         # coefficients of `_kernels.rate_parts`
@@ -268,8 +274,8 @@ def _dof(base, count, terms):
 
 @lru_cache(maxsize=64)
 def links(scheme: Scheme, params: SystemParams) -> Links:
-    """Derive the instance's DoFs, interference, time weights and AN budget
-    rule from its row of `SLOTS`, once per instance."""
+    """Derive the instance's violations, DoFs, interference, time weights
+    and AN budget rule from its row of `SLOTS`, once per instance."""
     p = params
     dl, ul, bh_in, bh_out = slots = SLOTS[scheme]
 
@@ -304,10 +310,13 @@ def links(scheme: Scheme, params: SystemParams) -> Links:
     dof = (transmit(dl)[1], receive(ul)[1], receive(bh_in)[1],
            transmit(bh_out)[1])
     l_ud_dl = p.l_ud if _overlap(dl, ul) else 0.0   # UL UEs reach DL UEs
+    dof_checks = (
+        checks("transmit", transmit, ("DL", dl), ("backhaul", bh_out))
+        + checks("receive", receive, ("UL", ul), ("backhaul", bh_in)))
     return Links(
-        dof_checks=tuple(
-            checks("transmit", transmit, ("DL", dl), ("backhaul", bh_out))
-            + checks("receive", receive, ("UL", ul), ("backhaul", bh_in))),
+        violations=tuple(_field_violations(p) + [
+            f"{name} <= 0 ({formula} = {value})"
+            for name, formula, value in dof_checks if value <= 0]),
         time_split=any(slot != ALWAYS for slot in slots),
         shared_budget=_overlap(dl, bh_out),
         # in the order `_kernels.sinr_tuple` unpacks them
@@ -316,12 +325,6 @@ def links(scheme: Scheme, params: SystemParams) -> Links:
                 p.l_ud, p.alpha, p.l_ue * dof[0], p.l_ue * dof[1],
                 p.l_bh * dof[2], p.l_bh * dof[3], l_ud_dl * (p.u - p.k_d2d),
                 l_ud_dl * p.k_d2d, *an_power(ul), *an_power(bh_in), *slots))
-
-
-def require_valid(params: SystemParams, scheme: Scheme):
-    violations = validate(params, scheme)
-    if violations:
-        raise StructuralError(violations)
 
 
 def parse_config_text(text: str, *, known_keys=None, verbatim=()) -> dict:
@@ -363,9 +366,8 @@ def _parse_scalar(value: str):
 
 def load_params_db(path) -> dict:
     """Read a parameter config file into its raw dB-scale map."""
-    text = Path(path).read_text(encoding="utf-8")
-    raw = parse_config_text(text, known_keys=set(CONFIG_KEYS))
-    return raw
+    return parse_config_text(Path(path).read_text(encoding="utf-8"),
+                             known_keys=set(CONFIG_KEYS))
 
 
 def load_params(path) -> SystemParams:

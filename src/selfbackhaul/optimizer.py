@@ -40,10 +40,9 @@ import numpy as np
 from scipy.optimize import minimize
 
 from . import _kernels
-from .feasibility import (ConstraintReport, constraints, rho_applicable,
-                          slack_rows)
-from .model import (PowerAllocation, Scheme, SystemParams, links,
-                    require_valid)
+from .feasibility import (DEFAULT_TOL, ConstraintReport, constraints,
+                          rho_applicable, slack_rows)
+from .model import PowerAllocation, Scheme, SystemParams, require_valid
 from .rates import RateBreakdown, rates
 
 _P_START_FLOOR_MW = 1e-3    # lower edge of the log-uniform start range
@@ -67,7 +66,7 @@ _ALLOC_FIELDS = tuple(f.name for f in fields(PowerAllocation))
 class OptimizerOptions:
     n_starts: int = 50      # the cap on the starts run
     rng_seed: int = 42
-    feasibility_tol: float = 1e-6
+    feasibility_tol: float = DEFAULT_TOL
 
     def check(self):
         if self.n_starts < 1:
@@ -116,7 +115,7 @@ class _Problem:
 
     def __init__(self, scheme: Scheme, params: SystemParams):
         self.params = params
-        scheme_links = links(scheme, params)
+        scheme_links = require_valid(params, scheme)
         self.kernel = scheme_links.kernel
 
         self.has_d2d = params.k_d2d > 0
@@ -367,12 +366,11 @@ def repair_start(scheme: Scheme, params: SystemParams,
     way, and SLSQP takes it from there.
     """
     # the bisections evaluate their one row on the kernel directly
-    require_valid(params, scheme)
+    scheme_links = require_valid(params, scheme)
     # box clips
     alloc = PowerAllocation(
         *(min(p, cap) for p, cap in zip(alloc.as_tuple(), _caps(params))),
         eta=min(max(alloc.eta, 0.0), 1.0))
-    scheme_links = links(scheme, params)
     if scheme_links.shared_budget:
         total = alloc.p_d + alloc.p_bh_u
         if total > params.p_an_max:
@@ -410,9 +408,7 @@ def optimize(scheme: Scheme, params: SystemParams,
     """
     opts = opts or OptimizerOptions()
     opts.check()
-    require_valid(params, scheme)
-
-    problem = _Problem(scheme, params)
+    problem = _Problem(scheme, params)   # StructuralError on an invalid cell
     starts = []
     best = None  # (rates, report) of the best feasible start
     stale = 0    # starts since the best last rose by more than _RISE_RTOL
@@ -492,9 +488,8 @@ def baseline(scheme: Scheme, params: SystemParams):
     The returned breakdown carries the clamped components; the report
     carries the raw constraint values at the evaluated point.
     """
-    require_valid(params, scheme)
     p = list(_caps(params))
-    if links(scheme, params).shared_budget:
+    if require_valid(params, scheme).shared_budget:
         p[0] = p[3] = 0.5 * params.p_an_max
     if params.k_d2d == 0:
         p[4] = 0.0

@@ -11,8 +11,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from . import _kernels
-from .model import (PowerAllocation, Scheme, SystemParams, links,
-                    require_valid)
+from .model import PowerAllocation, Scheme, SystemParams, require_valid
 
 
 @dataclass(frozen=True)
@@ -43,11 +42,9 @@ class RateBreakdown:
 def sinr_set(scheme: Scheme, params: SystemParams,
              alloc: PowerAllocation) -> SinrSet:
     """Evaluate the scheme's closed-form per-stream SINRs."""
-    require_valid(params, scheme)
+    kernel = require_valid(params, scheme).kernel
     alloc.check()
-    values = _kernels.sinr_tuple(links(scheme, params).kernel,
-                                 *alloc.as_tuple()[:5])
-    return SinrSet(*values)
+    return SinrSet(*_kernels.sinr_tuple(kernel, *alloc.as_tuple()[:5]))
 
 
 def rate_components(scheme: Scheme, params: SystemParams,
@@ -57,10 +54,9 @@ def rate_components(scheme: Scheme, params: SystemParams,
     Returns (c_d, c_u, c_d2d, relay_dl, relay_ul, c_bh_d, c_bh_u); see
     `_kernels.rate_parts`.
     """
-    require_valid(params, scheme)
+    kernel = require_valid(params, scheme).kernel
     alloc.check()
-    return _kernels.rate_parts(links(scheme, params).kernel,
-                               *alloc.as_tuple())
+    return _kernels.rate_parts(kernel, *alloc.as_tuple())
 
 
 def rates(scheme: Scheme, params: SystemParams,

@@ -11,17 +11,15 @@ from __future__ import annotations
 
 import math
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field, fields, replace
 from importlib import resources
 from pathlib import Path
 
-from .model import (CONFIG_KEYS, ConfigError, Scheme, parse_config_text,
-                    params_from_db, require_integer, validate)
+from .model import (CONFIG_KEYS, ConfigError, Scheme, load_params_db,
+                    parse_config_text, params_from_db, require_integer,
+                    validate)
 from .optimizer import OptimizerOptions, baseline, optimize
 from .rates import rates
-
-CSV_HEADER = ("axis,scheme,optimized,clamped,c_d,c_u,c_ic,c_s,c_bh_d,c_bh_u,"
-              "p_d_mw,p_u_mw,p_bh_d_mw,p_bh_u_mw,p_u_d2d_mw,eta,converged")
 
 KINDS = ("si_cancellation", "intra_cell_pairs", "backhaul_streams",
          "custom_grid")
@@ -90,6 +88,11 @@ class SweepRow:
 
     def sort_key(self):
         return (self.axis, self.scheme, self.optimized)
+
+
+# the CSV columns: a new SweepRow field changes the file format
+_COLUMNS = tuple(f.name for f in fields(SweepRow))
+CSV_HEADER = ",".join(_COLUMNS)
 
 
 def _point_db(spec: SweepSpec, value):
@@ -175,11 +178,7 @@ def emit_csv(rows, path):
         raise ValueError("no rows to emit")
     lines = [CSV_HEADER]
     for row in sorted(rows, key=SweepRow.sort_key):
-        lines.append(",".join(_fmt(v) for v in (
-            row.axis, row.scheme, row.optimized, row.clamped,
-            row.c_d, row.c_u, row.c_ic, row.c_s, row.c_bh_d, row.c_bh_u,
-            row.p_d_mw, row.p_u_mw, row.p_bh_d_mw, row.p_bh_u_mw,
-            row.p_u_d2d_mw, row.eta, row.converged)))
+        lines.append(",".join(_fmt(getattr(row, name)) for name in _COLUMNS))
     Path(path).write_text("\n".join(lines) + "\n", encoding="utf-8")
 
 
@@ -222,7 +221,7 @@ def _parse_axis(text, kind):
     else:
         values = [_axis_value(v) for v in text.split(",") if v.strip()]
     if kind in ("intra_cell_pairs", "backhaul_streams"):
-        values = [int(round(v)) for v in values]
+        values = [require_integer("axis", v) for v in values]
     return values
 
 
@@ -247,9 +246,7 @@ def load_sweep_spec(path) -> SweepSpec:
         params_path = Path(str(raw["params"]))
         if not params_path.is_absolute():
             params_path = path.parent / params_path
-        base_db.update(parse_config_text(
-            params_path.read_text(encoding="utf-8"),
-            known_keys=set(CONFIG_KEYS)))
+        base_db.update(load_params_db(params_path))
     for key in CONFIG_KEYS:
         if key in raw:
             base_db[key] = raw[key]

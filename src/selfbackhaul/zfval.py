@@ -20,9 +20,14 @@ matrix ``W = D^-1/2 HH^H D^-1/2`` (``D`` the diagonal of row gains) has a
 condition number above ``_COND_LIMIT``.  ``W`` is the unit-variance Wishart
 draw, so the rule does not depend on how far apart the path gains are: a
 stack mixing UE rows at 1e-8 with the AN's own receive rows at 1 is judged
-like one at unit gains.  The batched checks certify most draws from a norm
-bound instead of an eigendecomposition (see ``_inverse_diagonals``); that
-changes the work done, not the draws, the rejections or the values.
+like one at unit gains.  The three batched checks (column norms, Wishart
+trace, empirical SINRs) share one chunk loop, ``_screened_chunks``: it
+draws each chunk, forms its Gram matrix and inverse once in
+``_inverse_diagonals``, drops the ill-conditioned draws and, once the
+draws are done, fails the check if more than 1% were rejected.  That
+function certifies most draws from a norm bound instead of an
+eigendecomposition; that changes the work done, not the draws, the
+rejections or the values.
 """
 
 from __future__ import annotations
@@ -31,7 +36,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .model import PowerAllocation, Scheme, SystemParams, require_valid
+from .model import PowerAllocation, Scheme, SystemParams
 from .rates import sinr_set
 
 _CHUNK = 512
@@ -124,6 +129,21 @@ def _inverse_diagonals(h, gains):
     return ok, diag[ok]
 
 
+def _screened_chunks(rng, trials, m, n, gains):
+    """Draw ``trials`` (m, n) channels in chunks of ``_CHUNK`` and yield,
+    per chunk, the inverse diagonals of its well-conditioned draws (see
+    `_inverse_diagonals`); once the draws are done, raise if more than
+    ``_REJECT_FRACTION_LIMIT`` of them were rejected."""
+    rejected = 0
+    for done in range(0, trials, _CHUNK):
+        count = min(_CHUNK, trials - done)
+        ok, inv_diag = _inverse_diagonals(
+            _complex_rows(rng, count, m, n, gains), gains)
+        rejected += count - len(inv_diag)
+        yield inv_diag
+    _check_rejections(rejected, trials)
+
+
 def draw_channel(n_t: int, n_r: int, m_t: int, gains, seed: int) -> ChannelDraw:
     """Draw one stacked channel realization (reproducible for a seed)."""
     if n_t < 1 or n_r < 0 or m_t < 1:
@@ -169,7 +189,8 @@ def wishart_trace_closed_form(n_t: int, m: int) -> float:
 
 
 def wishart_trace_check(n_t: int, m: int, trials: int, seed: int) -> CheckResult:
-    """Empirical mean of tr((HH^H)^-1) for i.i.d. unit complex Gaussian H.
+    """Empirical mean of tr((HH^H)^-1) for i.i.d. unit complex Gaussian H,
+    over the well-conditioned draws.
 
     The closed form is m / (n_t - m).
     """
@@ -178,15 +199,11 @@ def wishart_trace_check(n_t: int, m: int, trials: int, seed: int) -> CheckResult
     _check_trials(trials)
     rng = np.random.default_rng(seed)
     total = 0.0
-    done = 0
-    while done < trials:
-        count = min(_CHUNK, trials - done)
-        h = _complex_rows(rng, count, m, n_t, np.ones(m))
-        gram = h @ h.conj().transpose(0, 2, 1)
-        eigs = np.linalg.eigvalsh(gram)
-        total += float(np.sum(1.0 / eigs))
-        done += count
-    empirical = total / trials
+    used = 0
+    for inv_diag in _screened_chunks(rng, trials, m, n_t, np.ones(m)):
+        total += float(np.sum(inv_diag))
+        used += len(inv_diag)
+    empirical = total / used
     closed = wishart_trace_closed_form(n_t, m)
     return CheckResult("wishart_trace", empirical, closed,
                        abs(empirical - closed) / closed)
@@ -205,19 +222,11 @@ def column_norm_check(n_t: int, m_t: int, n_r: int, trials: int, seed: int,
     rng = np.random.default_rng(seed)
     total = 0.0
     used = 0
-    rejected = 0
-    done = 0
-    while done < trials:
-        count = min(_CHUNK, trials - done)
-        h = _complex_rows(rng, count, rows, n_t, gains)
-        ok, inv_diag = _inverse_diagonals(h, gains)
-        rejected += int(np.sum(~ok))
+    for inv_diag in _screened_chunks(rng, trials, rows, n_t, gains):
         # ||w_k||^2 = lam_k^2 {(HH^H)^-1}_kk with lam_k^2 = L_k * dof
         norms = inv_diag[:, :m_t] * (gains[:m_t] * dof)[None, :]
         total += float(np.sum(norms))
-        used += int(np.sum(ok)) * m_t
-        done += count
-    _check_rejections(rejected, trials)
+        used += len(inv_diag) * m_t
     empirical = total / used
     return CheckResult("precoder_column_norm", empirical, 1.0,
                        abs(empirical - 1.0))
@@ -354,17 +363,9 @@ def _stack_signal_means(stack: _Stack, trials: int, rng):
 
     sums = np.zeros(m_data)
     used = 0
-    rejected = 0
-    done = 0
-    while done < trials:
-        count = min(_CHUNK, trials - done)
-        h = _complex_rows(rng, count, m_tot, stack.n, gains)
-        ok, inv_diag = _inverse_diagonals(h, gains)
-        rejected += int(np.sum(~ok))
+    for inv_diag in _screened_chunks(rng, trials, m_tot, stack.n, gains):
         sums += np.sum(1.0 / inv_diag[:, :m_data], axis=0)
-        used += int(np.sum(ok))
-        done += count
-    _check_rejections(rejected, trials)
+        used += len(inv_diag)
 
     means = {}
     offset = 0
@@ -410,9 +411,7 @@ def empirical_sinr_check(params: SystemParams, scheme: Scheme,
     """
     if trials < 1000:
         raise ValueError("need at least 1000 trials")
-    require_valid(params, scheme)
-    alloc.check()
-    closed = sinr_set(scheme, params, alloc)
+    closed = sinr_set(scheme, params, alloc)   # validates params and alloc
     closed_map = {"dl": closed.sinr_d, "ul": closed.sinr_u,
                   "bh_d": closed.sinr_bh_d, "bh_u": closed.sinr_bh_u}
 

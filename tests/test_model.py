@@ -3,9 +3,10 @@
 import numpy as np
 import pytest
 
-from selfbackhaul.model import (SLOTS, ConfigError, Scheme, links,
-                                load_params, params_from_db, params_to_db,
-                                parse_config_text, validate)
+from selfbackhaul.model import (SLOTS, ConfigError, Scheme, StructuralError,
+                                links, load_params, params_from_db,
+                                params_to_db, parse_config_text,
+                                require_valid, validate)
 
 from conftest import REFERENCE_DB, make_params
 
@@ -101,6 +102,25 @@ def test_validate_is_pure(reference_params):
     bad = make_params(rho_min=0.5, rho_max=0.2)
     assert (validate(bad, Scheme.HALF_DUPLEX)
             == validate(bad, Scheme.HALF_DUPLEX))
+
+
+def test_validate_returns_a_new_list():
+    bad = make_params(rho_min=0.5, rho_max=0.2)
+    first = validate(bad, Scheme.HALF_DUPLEX)
+    first.append("edited by the caller")
+    second = validate(bad, Scheme.HALF_DUPLEX)
+    assert second is not first
+    assert second == first[:-1] and len(second) == 1
+
+
+@pytest.mark.parametrize("scheme", list(Scheme))
+def test_require_valid_returns_the_links_record(scheme, reference_params):
+    assert (require_valid(reference_params, scheme)
+            is links(scheme, reference_params))
+    bad = make_params(n_t=10, rho_min=0.5, rho_max=0.2)
+    with pytest.raises(StructuralError) as raised:
+        require_valid(bad, scheme)
+    assert raised.value.violations == validate(bad, scheme)
 
 
 def test_gain_bounds_checked():

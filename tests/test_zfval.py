@@ -191,6 +191,48 @@ def test_wishart_trace_wide_case():
     assert check.rel_error < 0.01
 
 
+def test_wishart_trace_screens_a_rank_deficient_draw(monkeypatch):
+    real = zfval._complex_rows
+    chunks = []
+
+    def rank_deficient_first_draw(rng, count, m, n, gains):
+        h = real(rng, count, m, n, gains)
+        if not chunks:
+            h[0, 1] = h[0, 0]
+        chunks.append(h.copy())
+        return h
+    monkeypatch.setattr(zfval, "_complex_rows", rank_deficient_first_draw)
+    check = zfval.wishart_trace_check(40, 20, 1000, 3)
+    # the mean of tr((HH^H)^-1) over the other 999 draws, by eigenvalues
+    h = np.concatenate(chunks)[1:]
+    eigs = np.linalg.eigvalsh(h @ h.conj().transpose(0, 2, 1))
+    assert [len(c) for c in chunks] == [512, 488]
+    assert check.empirical == pytest.approx(np.mean(np.sum(1.0 / eigs, 1)),
+                                            rel=1e-12)
+    assert check.rel_error < 0.01
+
+
+@pytest.mark.parametrize("check", [
+    lambda: zfval.wishart_trace_check(40, 20, 1000, 3),
+    lambda: zfval.column_norm_check(40, 4, 16, 1000, 3),
+    lambda: zfval.empirical_sinr_check(
+        params_from_db(SMALL_DB), Scheme.HALF_DUPLEX,
+        PowerAllocation(1000.0, 100.0, 500.0, 200.0), 1000, 3),
+], ids=["wishart_trace", "column_norm", "empirical_sinr"])
+def test_checks_fail_past_one_percent_rejections(check, monkeypatch):
+    real = zfval._complex_rows
+
+    def every_fiftieth_draw_rank_deficient(rng, count, m, n, gains):
+        h = real(rng, count, m, n, gains)
+        h[::50, 1] = h[::50, 0]
+        return h
+    monkeypatch.setattr(zfval, "_complex_rows",
+                        every_fiftieth_draw_rank_deficient)
+    # 11 draws of the 512-draw chunk and 10 of the 488-draw one
+    with pytest.raises(RuntimeError, match=r"rejected 21/1000 .*limit 1%"):
+        check()
+
+
 def test_wishart_closed_form_minimal_case():
     # inverse-chi-squared mean: m=1, n=2 gives exactly 1
     assert zfval.wishart_trace_closed_form(2, 1) == 1.0
