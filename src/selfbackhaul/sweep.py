@@ -48,6 +48,8 @@ class SweepSpec:
             raise ConfigError(f"unknown sweep kind {self.kind!r}")
         if not self.axis:
             raise ConfigError("sweep axis must be non-empty")
+        if self.kind in ("intra_cell_pairs", "backhaul_streams"):
+            self.axis = [require_integer("axis", v) for v in self.axis]
         if any(b <= a for a, b in zip(self.axis, self.axis[1:])):
             raise ConfigError("sweep axis must be strictly increasing")
         if self.routing not in ROUTINGS:
@@ -101,12 +103,11 @@ def _point_db(spec: SweepSpec, value):
         db["si_cancellation_db"] = float(value)
     elif spec.kind == "intra_cell_pairs":
         if spec.routing == "d2d":
-            db["k_d2d"], db["k_an"] = int(value), 0
+            db["k_d2d"], db["k_an"] = value, 0
         else:
-            db["k_an"], db["k_d2d"] = int(value), 0
+            db["k_an"], db["k_d2d"] = value, 0
     elif spec.kind == "backhaul_streams":
-        db["m_bh_t"] = int(value)
-        db["m_bh_r"] = 2 * int(value)
+        db["m_bh_t"], db["m_bh_r"] = value, 2 * value
     else:
         db[spec.axis_param] = value
     return db
@@ -206,7 +207,7 @@ def _axis_value(text):
     return value
 
 
-def _parse_axis(text, kind):
+def _parse_axis(text):
     if ":" in text:
         parts = text.split(":")
         if len(parts) not in (2, 3):
@@ -217,12 +218,8 @@ def _parse_axis(text, kind):
             raise ConfigError("axis step must be > 0")
         # the last point may reach stop by round-off, never pass it
         n = math.floor((stop - start) / step + 1e-9)
-        values = [min(start + i * step, stop) for i in range(n + 1)]
-    else:
-        values = [_axis_value(v) for v in text.split(",") if v.strip()]
-    if kind in ("intra_cell_pairs", "backhaul_streams"):
-        values = [require_integer("axis", v) for v in values]
-    return values
+        return [min(start + i * step, stop) for i in range(n + 1)]
+    return [_axis_value(v) for v in text.split(",") if v.strip()]
 
 
 def load_sweep_spec(path) -> SweepSpec:
@@ -256,7 +253,7 @@ def load_sweep_spec(path) -> SweepSpec:
 
     kind = str(raw["kind"])
     if "axis" in raw:
-        axis = _parse_axis(raw["axis"], kind)
+        axis = _parse_axis(raw["axis"])
     elif kind == "intra_cell_pairs":
         axis = list(range(0, min(require_integer(key, base_db[key])
                                  for key in ("d", "u"))))

@@ -24,9 +24,10 @@ like one at unit gains.  The three batched checks (column norms, Wishart
 trace, empirical SINRs) share one chunk loop, ``_screened_chunks``: it
 draws each chunk, forms its Gram matrix and inverse once in
 ``_inverse_diagonals``, drops the ill-conditioned draws and, once the
-draws are done, fails the check if more than 1% were rejected.  That
-function certifies most draws from a norm bound instead of an
-eigendecomposition; that changes the work done, not the draws, the
+draws are done, fails the check if more than 1% were rejected; the
+per-draw exactness check counts its rejections against the same limit.
+`_inverse_diagonals` certifies most draws from a norm bound instead of
+an eigendecomposition; that changes the work done, not the draws, the
 rejections or the values.
 """
 
@@ -245,6 +246,7 @@ def exactness_check(n_t: int, m_t: int, n_r: int, trials: int,
     rng = np.random.default_rng(seed)
     worst_offdiag = 0.0
     worst_null = 0.0
+    rejected = 0
     gains = np.ones(m_t + n_r)
     for trial in range(trials):
         draw = draw_channel(n_t, n_r, m_t, gains,
@@ -252,6 +254,7 @@ def exactness_check(n_t: int, m_t: int, n_r: int, trials: int,
         try:
             sample = zf_precoder(draw)
         except IllConditionedError:
+            rejected += 1
             continue
         eff = draw.h_t @ sample.w
         off = eff - np.diag(np.diagonal(eff))
@@ -260,6 +263,7 @@ def exactness_check(n_t: int, m_t: int, n_r: int, trials: int,
         null = (np.linalg.norm(draw.h_s @ sample.w)
                 / np.linalg.norm(draw.h_s))
         worst_null = max(worst_null, float(null))
+    _check_rejections(rejected, trials)
     return [CheckResult("effective_channel_offdiag", worst_offdiag, 0.0,
                         worst_offdiag),
             CheckResult("si_null_leakage", worst_null, 0.0, worst_null)]

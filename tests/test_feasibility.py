@@ -1,10 +1,13 @@
 """Constraint vector evaluation and reporting."""
 
-from hypothesis import example, given, settings
+from dataclasses import replace
+
+from hypothesis import example, given, settings, strategies as st
 import pytest
 
+from selfbackhaul import _kernels
 from selfbackhaul.feasibility import constraints
-from selfbackhaul.model import PowerAllocation, Scheme
+from selfbackhaul.model import PowerAllocation, Scheme, links
 from selfbackhaul.rates import rates
 
 from conftest import make_params, valid_params
@@ -66,6 +69,42 @@ def test_bh_dl_relaxes_with_bn_power(scheme, reference_params):
         if previous is not None:
             assert value <= previous + 1e-12
         previous = value
+
+
+@st.composite
+def _cells_and_allocations(draw):
+    """A random valid cell and scheme, and an allocation in its boxes with
+    each power log-uniform over the 12 decades below its cap."""
+    params = draw(valid_params())
+
+    def power(cap):
+        return cap * 10.0 ** draw(st.floats(-12.0, 0.0))
+
+    alloc = PowerAllocation(
+        power(params.p_an_max), power(params.p_ue_max),
+        power(params.p_bh_d_max), power(params.p_an_max),
+        power(params.p_ue_max) if params.k_d2d else 0.0,
+        draw(st.floats(0.0, 1.0)))
+    return draw(st.sampled_from(list(Scheme))), params, alloc
+
+
+@settings(derandomize=True, deadline=None)
+@given(_cells_and_allocations())
+@example((Scheme.FULL_DUPLEX, make_params(),
+          alloc(p_d=500.0, p_u=0.007, p_bh_d=100.0, p_bh_u=0.1)))
+def test_bn_power_at_its_cap_only_loosens_bh_dl(case):
+    # why the optimizer holds p_bh_d at p_bh_d_max instead of varying it
+    scheme, params, a = case
+    top = replace(a, p_bh_d=params.p_bh_d_max)
+    kernel = links(scheme, params).kernel
+    before = _kernels.rate_parts(kernel, *a.as_tuple())
+    after = _kernels.rate_parts(kernel, *top.as_tuple())
+    # c_d, c_u, c_d2d, relay_dl, relay_ul and c_bh_u; then c_bh_d
+    assert before[:5] + before[6:] == after[:5] + after[6:]
+    assert after[5] >= before[5]
+    report = constraints(scheme, params, a)
+    if report.feasible:
+        assert constraints(scheme, params, top).feasible
 
 
 def test_label_order_reference_cell(reference_params):

@@ -233,6 +233,19 @@ def test_checks_fail_past_one_percent_rejections(check, monkeypatch):
         check()
 
 
+def test_exactness_check_fails_past_one_percent_rejections(monkeypatch):
+    real = zfval._complex_rows
+
+    def rank_deficient(rng, count, m, n, gains):
+        h = real(rng, count, m, n, gains)
+        h[:, 1] = h[:, 0]
+        return h
+    monkeypatch.setattr(zfval, "_complex_rows", rank_deficient)
+    # each draw is its own one-draw chunk, so every draw is rejected
+    with pytest.raises(RuntimeError, match=r"rejected 50/50 .*limit 1%"):
+        zfval.exactness_check(40, 4, 16, 50, 1)
+
+
 def test_wishart_closed_form_minimal_case():
     # inverse-chi-squared mean: m=1, n=2 gives exactly 1
     assert zfval.wishart_trace_closed_form(2, 1) == 1.0
