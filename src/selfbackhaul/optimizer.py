@@ -1,8 +1,6 @@
 """Multi-start constrained maximization of the per-scheme sum-rate.
 
-The BN power ``p_bh_d`` only raises the incoming-backhaul rate, which only
-loosens the ``bh_dl`` row, so it sits at its cap and is not a variable.
-Each start draws the other powers log-uniformly across the feasible decades,
+Each start draws transmit powers log-uniformly across the feasible decades,
 repairs obvious constraint violations in one pass by shrinking the
 offending powers, and then runs an SLSQP solve on box-bounded variables
 (powers in log10 space).  Every start reaches SLSQP, whether or not its
@@ -62,7 +60,6 @@ _PATIENCE = 5               # starts in a row with no such rise before stopping
 _SHRINK_FIELD = {"bh_dl": "p_d", "rho_lo": "p_d",
                  "bh_ul": "p_u", "rho_hi": "p_u"}
 _ALLOC_FIELDS = tuple(f.name for f in fields(PowerAllocation))
-_VARIED = (0, 1, 3, 4)      # `as_tuple` positions of the varied powers
 
 
 @dataclass
@@ -135,9 +132,9 @@ class _Problem:
                       for label, slack in slack_rows(scheme, params)
                       if label not in boxed]
 
-        self.n_powers = 4 if self.has_d2d else 3
-        self._bounds = [(_LOG_FLOOR, np.log10(_caps(params)[i]))
-                        for i in _VARIED[:self.n_powers]]
+        self.n_powers = 5 if self.has_d2d else 4
+        self._bounds = [(_LOG_FLOOR, np.log10(c))
+                        for c in _caps(params)[:self.n_powers]]
         if self.has_eta:
             self.eta_idx = len(self._bounds)
             self._bounds.append((0.0, 1.0))
@@ -160,19 +157,21 @@ class _Problem:
         return 10.0 ** x[:self.n_powers]
 
     def to_alloc(self, x) -> PowerAllocation:
+        p = self.powers(x).tolist()
+        p_u_d2d = p[4] if self.has_d2d else 0.0
         eta = float(x[self.eta_idx]) if self.has_eta else 0.5
-        return PowerAllocation(*self._args(self.powers(x).tolist(), eta))
+        return PowerAllocation(p_d=p[0], p_u=p[1], p_bh_d=p[2], p_bh_u=p[3],
+                               p_u_d2d=p_u_d2d, eta=eta)
 
-    def from_alloc(self, alloc: PowerAllocation):
-        """The variables at ``alloc``, the epigraph level at its tightest."""
-        a = alloc.as_tuple()
-        p = [a[i] for i in _VARIED[:self.n_powers]]
+    def from_alloc(self, alloc: PowerAllocation, t=None):
+        p = [alloc.p_d, alloc.p_u, alloc.p_bh_d, alloc.p_bh_u]
+        if self.has_d2d:
+            p.append(alloc.p_u_d2d)
         x = list(np.log10(np.maximum(p, 10.0 ** _LOG_FLOOR)))
         if self.has_eta:
             x.append(alloc.eta)
         if self.epigraph:
-            parts = _kernels.rate_parts(self.kernel, *self._args(p, alloc.eta))
-            x.append(min(parts[3], parts[4]))
+            x.append(0.0 if t is None else t)
         return np.asarray(x)
 
     # -- evaluation -----------------------------------------------------
@@ -193,9 +192,8 @@ class _Problem:
         return value
 
     def _args(self, p, eta):
-        """The allocation tuple at varied powers ``p``, p_bh_d at its cap."""
-        return (p[0], p[1], self.params.p_bh_d_max, p[2],
-                p[3] if self.has_d2d else 0.0, eta)
+        """The kernel's allocation arguments, in `as_tuple` order."""
+        return (p[0], p[1], p[2], p[3], p[4] if self.has_d2d else 0.0, eta)
 
     def _point(self, p, eta, t, parts=None):
         """(negated objective, slack list) at powers ``p``, split ``eta``
@@ -301,10 +299,11 @@ def _scaled(slack, scale):
 
 
 def _draw_start(problem: _Problem, rng) -> PowerAllocation:
-    p = [10.0 ** rng.uniform(np.log10(_P_START_FLOOR_MW), hi)
-         for _, hi in problem.bounds()[:problem.n_powers]]
+    p = [10.0 ** rng.uniform(np.log10(_P_START_FLOOR_MW), np.log10(cap))
+         for cap in _caps(problem.params)[:problem.n_powers]]
+    p_u_d2d = p[4] if problem.has_d2d else 0.0
     eta = rng.uniform(0.0, 1.0) if problem.has_eta else 0.5
-    return PowerAllocation(*problem._args(p, eta))
+    return PowerAllocation(*p[:4], p_u_d2d=p_u_d2d, eta=eta)
 
 
 def _row_violation(kernel, slack):
@@ -420,7 +419,12 @@ def optimize(scheme: Scheme, params: SystemParams,
         rng = np.random.default_rng([opts.rng_seed, index])
         raw = _draw_start(problem, rng)
         repaired = repair_start(scheme, params, raw, opts.feasibility_tol)
-        x0 = problem.from_alloc(repaired)
+
+        t0 = None
+        if problem.epigraph:
+            parts = _kernels.rate_parts(problem.kernel, *repaired.as_tuple())
+            t0 = min(parts[3], parts[4])
+        x0 = problem.from_alloc(repaired, t=t0)
 
         with warnings.catch_warnings():
             # SLSQP line searches may probe outside the boxes; scipy clips

@@ -24,11 +24,10 @@ like one at unit gains.  The three batched checks (column norms, Wishart
 trace, empirical SINRs) share one chunk loop, ``_screened_chunks``: it
 draws each chunk, forms its Gram matrix and inverse once in
 ``_inverse_diagonals``, drops the ill-conditioned draws and, once the
-draws are done, fails the check if more than 1% were rejected; the
-per-draw exactness check counts its rejections against the same limit.
-`_inverse_diagonals` certifies most draws from a norm bound instead of
-an eigendecomposition; that changes the work done, not the draws, the
-rejections or the values.
+draws are done, fails the check if more than 1% were rejected; so does
+the per-draw exactness check.  `_inverse_diagonals` certifies most draws
+from a norm bound instead of an eigendecomposition; that changes the
+work done, not the draws, the rejections or the values.
 """
 
 from __future__ import annotations

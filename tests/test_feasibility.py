@@ -93,7 +93,8 @@ def _cells_and_allocations(draw):
 @example((Scheme.FULL_DUPLEX, make_params(),
           alloc(p_d=500.0, p_u=0.007, p_bh_d=100.0, p_bh_u=0.1)))
 def test_bn_power_at_its_cap_only_loosens_bh_dl(case):
-    # why the optimizer holds p_bh_d at p_bh_d_max instead of varying it
+    # any feasible point stays feasible, at the same rates, with the BN
+    # at its cap: p_bh_d holds no decision
     scheme, params, a = case
     top = replace(a, p_bh_d=params.p_bh_d_max)
     kernel = links(scheme, params).kernel

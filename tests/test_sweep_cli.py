@@ -251,11 +251,11 @@ def test_cli_bad_config_exit_code(tmp_path, capsys):
 
 
 def test_cli_optimize_says_when_no_start_ended_feasible(tmp_path, capsys):
-    # the reference cell at 73 dB: full duplex's only start at seed 2 ends
+    # the reference cell at 63 dB: full duplex's only start at seed 2 ends
     # infeasible
     cfg = tmp_path / "cell.cfg"
     cfg.write_text("\n".join(f"{k} = {v}" for k, v in dict(
-        REFERENCE_DB, si_cancellation_db=73).items()), encoding="utf-8")
+        REFERENCE_DB, si_cancellation_db=63).items()), encoding="utf-8")
     code = cli.main(["optimize", "--scheme", "fd", "--config", str(cfg),
                      "--seed", "2", "--starts", "1"])
     out = capsys.readouterr().out
@@ -269,7 +269,7 @@ def test_cli_sweep_keeps_going_past_a_point_with_no_feasible_start(
         tmp_path, capsys):
     spec_file = tmp_path / "sweep.cfg"
     spec_file.write_text(
-        f"kind = si_cancellation\naxis = 70:76:3\n"
+        f"kind = si_cancellation\naxis = 60:66:3\n"
         f"params = {preset_path('default')}\nschemes = fd\n"
         "include_baseline = false\nseed = 2\nn_starts = 1\n",
         encoding="utf-8")
@@ -278,9 +278,9 @@ def test_cli_sweep_keeps_going_past_a_point_with_no_feasible_start(
     assert code == 0
     lines = out.read_text(encoding="utf-8").splitlines()
     assert lines[0] == CSV_HEADER and len(lines) == 4
-    # 73 dB: every rate and power at zero, eta at its convention, no start
+    # 63 dB: every rate and power at zero, eta at its convention, no start
     # converged
-    assert lines[2] == "73,fd,true,false," + "0," * 11 + "0.5,0"
+    assert lines[2] == "63,fd,true,false," + "0," * 11 + "0.5,0"
     assert [line.split(",")[-1] != "0" for line in lines[1:]] == [
         True, False, True]
 
