@@ -9,14 +9,12 @@ repaired point is feasible.  The constraints are the rows of
 solver and the feasibility report share one encoding; `model.links` says
 whether ``eta`` is a variable.  The nonsmooth ``min`` term contributed by
 AN-relayed pairs is handled through an epigraph auxiliary variable.
-The objective gradient and the constraint Jacobian share one
-central-difference pass per iterate: each perturbed point is evaluated
-once and yields the objective and the slack vector together.  The pass
-runs on Python floats, and the epigraph variable, which the rate kernel
-never sees, reuses one kernel call at the iterate, so a pass costs
-2*dim - 1 kernel calls with relayed pairs and 2*dim without.  Repair
-takes its violated rows from one kernel call, and bisects a power on the
-allocation's values as a plain list with one kernel call per step.
+The objective gradient and the constraint Jacobian are exact: the
+objective and every row are affine in the rates and the allocation, so
+both come from the kernel's closed-form partials at the iterate through
+maps built once per instance.  Repair takes its violated rows from one
+kernel call, and bisects a power on the allocation's values as a plain
+list with one kernel call per step.
 
 Starts run until five of them in a row (``_PATIENCE``), counted once some
 start has ended feasible, fail to raise the best sum-rate by more than 1e-6
@@ -49,7 +47,6 @@ _P_START_FLOOR_MW = 1e-3    # lower edge of the log-uniform start range
 _LOG_FLOOR = -8.0           # log10 mW lower bound standing in for "off"
 _BISECT_ITERS = 40
 _REPAIR_MARGIN = 1e-3       # slack (bits/s/Hz) left below repaired boundaries
-_FD_STEP = 1e-6             # relative central-difference step
 _MAX_ITERATIONS = 150       # SLSQP iterations per start
 _OBJECTIVE_TOL = 1e-9       # SLSQP ftol
 _SLSQP_ITERATION_LIMIT = 9  # scipy SLSQP exit status for maxiter reached
@@ -60,6 +57,13 @@ _PATIENCE = 5               # starts in a row with no such rise before stopping
 _SHRINK_FIELD = {"bh_dl": "p_d", "rho_lo": "p_d",
                  "bh_ul": "p_u", "rho_hi": "p_u"}
 _ALLOC_FIELDS = tuple(f.name for f in fields(PowerAllocation))
+# `_kernels.rate_parts` outputs, and those that are the rates ``c`` the
+# rows of `slack_rows` take
+_PART_NAMES = ("c_d", "c_u", "c_d2d", "relay_dl", "relay_ul",
+               "c_bh_d", "c_bh_u")
+_ROW_RATES = [_PART_NAMES.index(name)
+              for name in ("c_d", "c_u", "c_bh_d", "c_bh_u")]
+_LN10 = math.log(10.0)
 
 
 @dataclass
@@ -145,6 +149,8 @@ class _Problem:
                             * params.p_an_max / params.sigma_n2)
             self._bounds.append((0.0, t_cap))
         self.dim = len(self._bounds)
+        (self._rate_map, self._alloc_map, self._select,
+         self._t_cols) = self._jac_maps()
 
         self._memo_key = None
         self._memo_val = None
@@ -177,16 +183,30 @@ class _Problem:
     # -- evaluation -----------------------------------------------------
 
     def eval_point(self, x):
-        """(negated objective, constraint slack vector >= 0 when feasible)."""
+        """(negated objective, constraint slack vector >= 0 when feasible).
+
+        The kernel and the rows run on Python floats, whose arithmetic is
+        the same IEEE double arithmetic as np.float64's, only cheaper.
+        """
         # list equality is np.array_equal's elementwise test on a 1-D
         # array, at a fraction of its cost on this per-call path
         key = x.tolist()
         if key == self._memo_key:
             return self._memo_val
-        f, g = self._point(self.powers(x).tolist(),
-                           key[self.eta_idx] if self.has_eta else 0.5,
-                           key[self.t_idx] if self.epigraph else None)
-        value = (f, np.asarray(g))
+        a = self._args(self.powers(x).tolist(),
+                       key[self.eta_idx] if self.has_eta else 0.5)
+        c_d, c_u, c_d2d, relay_dl, relay_ul, c_bh_d, c_bh_u = (
+            _kernels.rate_parts(self.kernel, *a))
+
+        obj = c_d + c_u + c_d2d
+        c = (c_d, c_u, c_bh_d, c_bh_u)
+        g = [slack(c, a) for slack in self._rows]
+        if self.epigraph:
+            t = key[self.t_idx]
+            obj += self.params.k_an * t
+            g.append(relay_dl - t)
+            g.append(relay_ul - t)
+        value = (-obj, np.asarray(g))
         self._memo_key = key
         self._memo_val = value
         return value
@@ -195,81 +215,61 @@ class _Problem:
         """The kernel's allocation arguments, in `as_tuple` order."""
         return (p[0], p[1], p[2], p[3], p[4] if self.has_d2d else 0.0, eta)
 
-    def _point(self, p, eta, t, parts=None):
-        """(negated objective, slack list) at powers ``p``, split ``eta``
-        and epigraph level ``t``, all Python floats.
+    def _jac_maps(self):
+        """(rate map, allocation map, variable selection, ``t`` columns):
+        the fixed maps from the kernel's partials to the derivatives.
 
-        The kernel and the rows run on Python floats, whose arithmetic is
-        the same IEEE double arithmetic as np.float64's, only cheaper.
-        ``parts`` are the kernel's rates at ``p`` and ``eta`` when the
-        caller has them: ``t`` does not enter the kernel.
+        The negated objective and every SLSQP row are affine in the rates
+        ``c`` and the allocation ``a`` (and in the epigraph level ``t``),
+        so each output's derivative is its rate coefficients times the
+        kernel's partials, plus its allocation coefficients times
+        ``da/dx``, plus its ``t`` coefficient.  The coefficients of each
+        row are read off the row itself, so `slack_rows` stays the one
+        encoding of the constraints.
         """
-        a = self._args(p, eta)
-        if parts is None:
-            parts = _kernels.rate_parts(self.kernel, *a)
-        c_d, c_u, c_d2d, relay_dl, relay_ul, c_bh_d, c_bh_u = parts
-
-        obj = c_d + c_u + c_d2d
-        c = (c_d, c_u, c_bh_d, c_bh_u)
-        g = [slack(c, a) for slack in self._rows]
+        n_out = 1 + len(self._rows) + (2 if self.epigraph else 0)
+        rate_map = np.zeros((n_out, len(_PART_NAMES)))
+        alloc_map = np.zeros((n_out, len(_ALLOC_FIELDS)))
+        t_cols = np.zeros((n_out, self.dim))
+        rate_map[0, [_PART_NAMES.index(name)
+                     for name in ("c_d", "c_u", "c_d2d")]] = -1.0
+        for i, slack in enumerate(self._rows, start=1):
+            rate_map[i, _ROW_RATES], alloc_map[i] = _affine_coefficients(slack)
         if self.epigraph:
-            obj += self.params.k_an * t
-            g.append(relay_dl - t)
-            g.append(relay_ul - t)
-        return -obj, g
+            rate_map[-2, _PART_NAMES.index("relay_dl")] = 1.0
+            rate_map[-1, _PART_NAMES.index("relay_ul")] = 1.0
+            t_cols[0, self.t_idx] = -self.params.k_an
+            t_cols[-2:, self.t_idx] = -1.0
+        # kernel columns (as_tuple order) -> this problem's variables
+        used = list(range(self.n_powers))
+        if self.has_eta:
+            used.append(_ALLOC_FIELDS.index("eta"))
+        select = np.zeros((len(_ALLOC_FIELDS), self.dim))
+        select[used, range(len(used))] = 1.0
+        return rate_map, alloc_map, select, t_cols
 
     def derivatives(self, x):
-        """(objective gradient, constraint Jacobian) by central differences.
+        """(objective gradient, constraint Jacobian), exact, from one
+        `_kernels.rate_parts_jac` call.
 
-        One pass gives both, as each point evaluation returns the objective
-        and the slack vector together.  The pass runs on Python floats: the
-        perturbed powers of all coordinates come from two array powers,
-        each perturbed point swaps one entry of the base point, and the
-        two epigraph points share one kernel call at the base point, so
-        the pass costs 2*dim - 1 kernel calls with relayed pairs and 2*dim
-        without.  Every step, power and quotient is the one a separate
-        loop over ``eval_point`` computes, so the values are bit-identical
-        to it.  SLSQP asks for the gradient and the Jacobian at the same
-        iterate, so the pair is kept for the last point asked for.
+        The kernel's partials are taken with respect to the log10 powers,
+        the optimizer's own variables; the allocation terms of the rows
+        get ``d p / d log10 p = p ln 10``.  SLSQP asks for the gradient and
+        the Jacobian at the same iterate, so the pair is kept for the last
+        point asked for.  The two are separate arrays: SLSQP goes wrong
+        when handed views into one.
         """
         key = x.tolist()
         if key == self._deriv_key:
             return self._deriv_val
-        n = self.n_powers
-        steps = [_FD_STEP * max(1.0, abs(v)) for v in key]
-        # numpy's power ufunc on an n-length array, as in powers(): a
-        # Python-float power may differ from its SIMD loop in the last bit
-        p = self.powers(x).tolist()
-        up = (10.0 ** (x[:n] + steps[:n])).tolist()
-        down = (10.0 ** (x[:n] - steps[:n])).tolist()
-        eta = key[self.eta_idx] if self.has_eta else 0.5
-        t = key[self.t_idx] if self.epigraph else None
-
-        grad = []
-        cols = []
-
-        def difference(plus, minus, h):
-            (f_p, g_p), (f_m, g_m) = plus, minus
-            h2 = 2.0 * h
-            grad.append((f_p - f_m) / h2)
-            cols.append([(a - b) / h2 for a, b in zip(g_p, g_m)])
-
-        for i in range(n):
-            q = p.copy()
-            q[i] = up[i]
-            plus = self._point(q, eta, t)
-            q[i] = down[i]
-            difference(plus, self._point(q, eta, t), steps[i])
-        if self.has_eta:
-            h = steps[self.eta_idx]
-            difference(self._point(p, eta + h, t),
-                       self._point(p, eta - h, t), h)
-        if self.epigraph:
-            h = steps[self.t_idx]
-            parts = _kernels.rate_parts(self.kernel, *self._args(p, eta))
-            difference(self._point(p, eta, t + h, parts),
-                       self._point(p, eta, t - h, parts), h)
-        value = (np.array(grad), np.array(cols).T)
+        a = self._args(self.powers(x).tolist(),
+                       key[self.eta_idx] if self.has_eta else 0.5)
+        _, jac = _kernels.rate_parts_jac(self.kernel, *a)
+        da_dx = [v * _LN10 for v in a[:-1]]
+        da_dx.append(1.0)
+        out = ((self._rate_map @ np.array(jac) + self._alloc_map * da_dx)
+               @ self._select + self._t_cols)
+        value = (out[0].copy(), out[1:].copy())
         self._deriv_key = key
         self._deriv_val = value
         return value
@@ -293,6 +293,19 @@ class _Problem:
 def _scaled(slack, scale):
     """The AN budget row in units of the budget, the order of the rates."""
     return lambda c, a: slack(c, a) / scale
+
+
+def _affine_coefficients(slack):
+    """(rate coefficients, allocation coefficients) of a row affine in
+    ``(c, a)``, read off the row on unit vectors."""
+    n_c, n_a = len(_ROW_RATES), len(_ALLOC_FIELDS)
+
+    def unit(size, k):
+        return tuple(float(i == k) for i in range(size))
+    c0, a0 = (0.0,) * n_c, (0.0,) * n_a
+    base = slack(c0, a0)
+    return ([slack(unit(n_c, k), a0) - base for k in range(n_c)],
+            [slack(c0, unit(n_a, k)) - base for k in range(n_a)])
 
 
 # -- start generation and repair ---------------------------------------

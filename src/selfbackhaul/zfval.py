@@ -22,12 +22,13 @@ draw, so the rule does not depend on how far apart the path gains are: a
 stack mixing UE rows at 1e-8 with the AN's own receive rows at 1 is judged
 like one at unit gains.  The three batched checks (column norms, Wishart
 trace, empirical SINRs) share one chunk loop, ``_screened_chunks``: it
-draws each chunk, forms its Gram matrix and inverse once in
-``_inverse_diagonals``, drops the ill-conditioned draws and, once the
-draws are done, fails the check if more than 1% were rejected; so does
-the per-draw exactness check.  `_inverse_diagonals` certifies most draws
-from a norm bound instead of an eigendecomposition; that changes the
-work done, not the draws, the rejections or the values.
+draws each chunk, forms its Gram matrices and inverses once in
+``_inverse_diagonals``, a block of draws at a time, drops the
+ill-conditioned draws and, once the draws are done, fails the check if
+more than 1% were rejected; so does the per-draw exactness check.
+`_inverse_diagonals` certifies most draws from a norm bound instead of an
+eigendecomposition; that changes the work done, not the draws, the
+rejections or the values.
 """
 
 from __future__ import annotations
@@ -40,6 +41,7 @@ from .model import PowerAllocation, Scheme, SystemParams
 from .rates import sinr_set
 
 _CHUNK = 512
+_BLOCK = 32     # draws per Gram product and inverse: bounds the temporaries
 _COND_LIMIT = 1e10
 _REJECT_FRACTION_LIMIT = 0.01
 
@@ -99,16 +101,30 @@ def _well_conditioned(gram, gains):
 def _inverse_diagonals(h, gains):
     """(ok, real diagonals of (HH^H)^-1 of the ok draws) for one chunk.
 
-    ``ok`` is ``_well_conditioned`` of each draw, reached mostly without
-    eigenvalues.  The whole chunk is inverted at once; LAPACK inverts each
-    matrix of a stack on its own, so every diagonal equals that of the
-    draw inverted alone.  For a Hermitian matrix ``||W||_inf ||W^-1||_inf``
+    ``ok`` is ``_well_conditioned`` of each draw.  The chunk goes through
+    `_block_inverse_diagonals` ``_BLOCK`` draws at a time, so the
+    conjugate, Gram, inverse and bound temporaries stay a block's size
+    rather than the chunk's.
+    """
+    blocks = [_block_inverse_diagonals(h[start:start + _BLOCK], gains)
+              for start in range(0, len(h), _BLOCK)]
+    return (np.concatenate([ok for ok, _ in blocks]),
+            np.concatenate([diag for _, diag in blocks]))
+
+
+def _block_inverse_diagonals(h, gains):
+    """`_inverse_diagonals` of one block of draws, reached mostly without
+    eigenvalues.
+
+    The whole block is inverted at once; LAPACK inverts each matrix of a
+    stack on its own, so every diagonal equals that of the draw inverted
+    alone.  For a Hermitian matrix ``||W||_inf ||W^-1||_inf``
     bounds ``cond_2(W)`` from above, and with ``r = sqrt(gains)``
     ``||W||_inf = max((|G| @ (1/r)) / r)`` and
     ``||W^-1||_inf = max((|G^-1| @ r) * r)``.  A draw whose bound is at most
     ``_COND_LIMIT / 2`` (the factor covers the inverse's round-off, about
     cond * eps) and whose inverse diagonal is positive is ok; only the
-    others go through ``_well_conditioned``.  A chunk holding an exactly
+    others go through ``_well_conditioned``.  A block holding an exactly
     singular draw, on which the batched inverse raises, takes that rule for
     every draw.
     """

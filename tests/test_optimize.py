@@ -219,66 +219,6 @@ def test_optimizer_drops_no_constraint(scheme, cell):
         assert list(g[:len(expected)]) == expected
 
 
-def _separate_central_diff(fun, x):
-    """One central-difference loop over one output, as SLSQP's gradient
-    and Jacobian were computed before they shared their evaluations."""
-    cols = []
-    for i in range(x.size):
-        h = optimizer_mod._FD_STEP * max(1.0, abs(x[i]))
-        xp = x.copy()
-        xm = x.copy()
-        xp[i] += h
-        xm[i] -= h
-        cols.append((fun(xp) - fun(xm)) / (2.0 * h))
-    return np.array(cols).T
-
-
-def _check_derivatives(monkeypatch, scheme, params, xs):
-    # the fused pass is bit-for-bit the two loops it replaces, and costs
-    # one kernel call per perturbed point, once per iterate, except that
-    # the two epigraph points share one call at the iterate
-    calls = []
-    real = _kernels.rate_parts
-
-    def counted(*args):
-        calls.append(None)
-        return real(*args)
-
-    monkeypatch.setattr(_kernels, "rate_parts", counted)
-    problem = _Problem(scheme, params)
-    for x in xs:
-        before = len(calls)
-        grad = problem.objective_grad(x)
-        jac = problem.constraint_jac(x)
-        assert len(calls) - before == (2 * problem.dim
-                                       - (1 if params.k_an else 0))
-        before = len(calls)
-        assert problem.objective_grad(x) is grad
-        assert problem.constraint_jac(x) is jac
-        assert len(calls) == before
-
-        oracle = _Problem(scheme, params)
-        expected_grad = _separate_central_diff(oracle.objective, x)
-        expected_jac = _separate_central_diff(oracle.constraint_vec, x)
-        assert grad.shape == expected_grad.shape
-        assert jac.shape == expected_jac.shape
-        assert (grad == expected_grad).all()
-        assert (jac == expected_jac).all()
-
-
-@pytest.mark.parametrize("scheme", list(Scheme))
-@pytest.mark.parametrize("cell", [{}, {"k_d2d": 1}, {"k_an": 1}],
-                         ids=["reference", "direct-pair", "relayed-pair"])
-def test_derivatives_equal_separate_central_differences(monkeypatch, scheme,
-                                                        cell):
-    params = make_params(**cell)
-    lo, hi = (np.array(side) for side in
-              zip(*_Problem(scheme, params).bounds()))
-    rng = np.random.default_rng(5)
-    xs = [rng.uniform(lo, hi) for _ in range(20)]
-    _check_derivatives(monkeypatch, scheme, params, xs)
-
-
 @st.composite
 def _valid_cells(draw):
     """A random valid cell and scheme."""
@@ -295,13 +235,87 @@ def _cells_and_points(draw):
     return scheme, params, x
 
 
+def _central_differences(problem, x):
+    """(gradient, Jacobian) of ``problem.eval_point`` by central
+    differences with the relative step 1e-6."""
+    grad, cols = [], []
+    for i in range(x.size):
+        h = 1e-6 * max(1.0, abs(x[i]))
+        up, down = x.copy(), x.copy()
+        up[i] += h
+        down[i] -= h
+        (f_up, g_up), (f_down, g_down) = (problem.eval_point(up),
+                                          problem.eval_point(down))
+        grad.append((f_up - f_down) / (2.0 * h))
+        cols.append((g_up - g_down) / (2.0 * h))
+    return np.array(grad), np.array(cols).T
+
+
+# Central differences with a 1e-6 step err by about h**2 |f'''| plus
+# 1e-16 |f| / h.  On 1500 cells drawn as below, the largest error was
+# 1.4e-8 of max(1, |derivative|).
+_CENTRAL_DIFFERENCE_TOL = 1e-7
+
+
 @settings(derandomize=True, deadline=None)
 @given(_cells_and_points())
-def test_derivatives_equal_separate_central_differences_on_random_cells(
+def test_derivatives_match_central_differences_on_random_cells(
         cell_and_point):
     scheme, params, x = cell_and_point
-    with pytest.MonkeyPatch.context() as monkeypatch:
-        _check_derivatives(monkeypatch, scheme, params, [x])
+    problem = _Problem(scheme, params)
+    grad, jac = problem.derivatives(x)
+    fd_grad, fd_jac = _central_differences(problem, x)
+    assert grad.shape == fd_grad.shape and jac.shape == fd_jac.shape
+    np.testing.assert_allclose(grad, fd_grad, rtol=_CENTRAL_DIFFERENCE_TOL,
+                               atol=_CENTRAL_DIFFERENCE_TOL)
+    np.testing.assert_allclose(jac, fd_jac, rtol=_CENTRAL_DIFFERENCE_TOL,
+                               atol=_CENTRAL_DIFFERENCE_TOL)
+
+
+def _random_points(scheme, params, count):
+    lo, hi = (np.array(side) for side in
+              zip(*_Problem(scheme, params).bounds()))
+    rng = np.random.default_rng(5)
+    return [rng.uniform(lo, hi) for _ in range(count)]
+
+
+@pytest.mark.parametrize("scheme", list(Scheme))
+@pytest.mark.parametrize("cell", [{}, {"k_d2d": 1}, {"k_an": 1}],
+                         ids=["reference", "direct-pair", "relayed-pair"])
+def test_derivative_pass_is_one_fused_kernel_call(monkeypatch, scheme, cell):
+    # SLSQP asks for the gradient, then the Jacobian, at each iterate: the
+    # pair costs one fused call and no plain kernel call, a repeat nothing
+    calls = []
+    for name in ("rate_parts", "rate_parts_jac"):
+        def counted(*args, _name=name, _real=getattr(_kernels, name)):
+            calls.append(_name)
+            return _real(*args)
+        monkeypatch.setattr(_kernels, name, counted)
+    params = make_params(**cell)
+    problem = _Problem(scheme, params)
+    for x in _random_points(scheme, params, 5):
+        del calls[:]
+        grad = problem.objective_grad(x)
+        jac = problem.constraint_jac(x)
+        assert calls == ["rate_parts_jac"]
+        assert problem.objective_grad(x) is grad
+        assert problem.constraint_jac(x) is jac
+        assert calls == ["rate_parts_jac"]
+
+
+@pytest.mark.parametrize("scheme", list(Scheme))
+@pytest.mark.parametrize("cell", [{}, {"k_d2d": 1}, {"k_an": 1}],
+                         ids=["reference", "direct-pair", "relayed-pair"])
+def test_gradient_and_jacobian_are_separate_arrays(scheme, cell):
+    # SLSQP (scipy 1.17.1) sends most starts to the iteration limit when
+    # the gradient is a view into an array that also holds the Jacobian
+    params = make_params(**cell)
+    problem = _Problem(scheme, params)
+    for x in _random_points(scheme, params, 3):
+        grad = problem.objective_grad(x)
+        jac = problem.constraint_jac(x)
+        assert grad.flags.owndata and jac.flags.owndata
+        assert not np.shares_memory(grad, jac)
 
 
 @pytest.mark.parametrize("scheme", list(Scheme))
@@ -400,7 +414,8 @@ def test_repair_is_one_pass_over_the_clipped_start(scheme, reference_params):
 def test_reports_carry_plain_python_types(reference_params, monkeypatch):
     # all 50 starts run, some of which end infeasible
     monkeypatch.setattr(optimizer_mod, "_PATIENCE", 50)
-    result = optimize(Scheme.FULL_DUPLEX, reference_params)
+    result = optimize(Scheme.FULL_DUPLEX, reference_params,
+                      OptimizerOptions(rng_seed=1))
     assert not all(s.feasible for s in result.starts)
     assert all(type(s.feasible) is bool for s in result.starts)
     assert type(result.best_report.feasible) is bool
@@ -478,12 +493,12 @@ def test_no_feasible_start_returns_the_zero_power_point(nothing_feasible,
 
 
 def test_fig4a_point_where_the_one_start_ends_infeasible():
-    # fig4a at 63 dB: full duplex's only start at seed 2 stops with SLSQP
+    # fig4a at 65 dB: full duplex's only start at seed 3 stops with SLSQP
     # status 8 on an infeasible point
     db = load_sweep_spec(preset_path("fig4a")).base_db
-    params = params_from_db(dict(db, si_cancellation_db=63))
+    params = params_from_db(dict(db, si_cancellation_db=65))
     result = optimize(Scheme.FULL_DUPLEX, params,
-                      OptimizerOptions(n_starts=1, rng_seed=2))
+                      OptimizerOptions(n_starts=1, rng_seed=3))
     _assert_zero_power_optimum(result, Scheme.FULL_DUPLEX, params)
     assert result.starts[0].iterations > 0
 

@@ -5,14 +5,19 @@ Expected values marked "oracle" were computed independently with mpmath at
 """
 
 import math
+import types
 from dataclasses import replace
+from unittest import mock
 
 import numpy as np
 import pytest
+import sympy
 from hypothesis import given, settings, strategies as st
 
-from selfbackhaul.model import (PowerAllocation, Scheme, StructuralError,
-                                validate)
+from selfbackhaul import _kernels
+from selfbackhaul.model import (ALWAYS, ETA, ONE_MINUS_ETA, SLOTS,
+                                PowerAllocation, Scheme, StructuralError,
+                                _overlap, links, validate)
 from selfbackhaul.rates import SinrSet, rate_components, rates, sinr_set
 
 from conftest import make_params
@@ -313,8 +318,11 @@ def test_kernel_equals_per_scheme_closed_forms(scheme):
             a = _random_alloc(rng, params)
             assert sinr_set(scheme, params, a) == SinrSet(
                 *_oracle_sinrs(scheme, params, a))
-            assert rate_components(scheme, params, a) == _oracle_parts(
-                scheme, params, a)
+            parts = rate_components(scheme, params, a)
+            assert parts == _oracle_parts(scheme, params, a)
+            # the fused kernel returns the same rates
+            assert _kernels.rate_parts_jac(
+                links(scheme, params).kernel, *a.as_tuple())[0] == parts
     assert all(count > 0 for count in seen.values()), seen
 
 
@@ -350,3 +358,93 @@ def test_hd_rates_independent_of_alpha(case, alpha):
     assert [getattr(first, f) for f in _RATE_FIELDS] == [
         getattr(second, f) for f in _RATE_FIELDS]
 
+
+# -- the fused kernel: rates and their partials from one call ---------------
+
+
+def _fused_and_plain(scheme, params, a):
+    kernel = links(scheme, params).kernel
+    return (_kernels.rate_parts_jac(kernel, *a.as_tuple()),
+            _kernels.rate_parts(kernel, *a.as_tuple()))
+
+
+@settings(derandomize=True, deadline=None)
+@given(_cells_and_allocs())
+def test_fused_rates_equal_rate_parts(case):
+    (parts, _), plain = _fused_and_plain(*case)
+    assert parts == plain
+
+
+_POWERS = ("p_d", "p_u", "p_bh_d", "p_bh_u", "p_u_d2d")
+
+
+def _sympy_partials(kernel, log_powers, eta):
+    """The partials of `rate_parts` with respect to the log10 powers and
+    ``eta``, by sympy on the kernel's own expressions, at 30 digits."""
+    xs = sympy.symbols("x0:5", real=True)
+    e = sympy.Symbol("eta", real=True)
+    symbolic_math = types.SimpleNamespace(log2=lambda v: sympy.log(v, 2))
+    with mock.patch.object(_kernels, "math", symbolic_math):
+        parts = _kernels.rate_parts(kernel, *[10 ** x for x in xs], e)
+    point = {**dict(zip(xs, log_powers)), e: eta}
+    return [[float(sympy.diff(part, v).evalf(30, subs=point))
+             for v in (*xs, e)] for part in parts]
+
+
+@pytest.mark.parametrize("scheme", list(Scheme))
+def test_partials_equal_sympy(scheme):
+    # two direct and one relayed pair, and SI strong enough to matter
+    params = make_params(k_d2d=2, k_an=1, si_cancellation_db=90)
+    kernel = links(scheme, params).kernel
+    for log_powers, eta in (((2.1, 1.0, 3.0, 1.5, 0.5), 0.3),
+                            ((-1.0, 2.4, 0.5, 2.9, -3.0), 0.8),
+                            ((2.9, -6.0, 3.9, -2.0, 2.0), 0.5)):
+        _, jac = _kernels.rate_parts_jac(
+            kernel, *[10.0 ** x for x in log_powers], eta)
+        oracle = _sympy_partials(kernel, log_powers, eta)
+        for got, want in zip(jac, oracle):
+            assert list(got) == pytest.approx(want, rel=1e-12, abs=1e-12)
+
+
+# The sign table: which power is each rate's own, which powers interfere
+# with it and where (the links whose slots must overlap, see
+# `model._overlap`), and the link whose slot its time weight follows.
+# Every other partial is exactly zero.
+_DL, _UL, _BH_IN, _BH_OUT = range(4)
+_SIGN_TABLE = {
+    # rate: (own power, ((interferer, (link, link)), ...), slot link)
+    "c_d": ("p_d", (("p_u", (_DL, _UL)), ("p_u_d2d", (_DL, _UL))), _DL),
+    "c_u": ("p_u", (("p_d", (_UL, _DL)), ("p_bh_u", (_UL, _BH_OUT))), _UL),
+    "c_d2d": ("p_u_d2d", (("p_u", (_UL, _UL)),), _UL),
+    "relay_dl": ("p_d", (("p_u", (_DL, _UL)), ("p_u_d2d", (_DL, _UL))), _DL),
+    "relay_ul": ("p_u", (("p_d", (_UL, _DL)), ("p_bh_u", (_UL, _BH_OUT))),
+                 _UL),
+    "c_bh_d": ("p_bh_d", (("p_d", (_BH_IN, _DL)),
+                          ("p_bh_u", (_BH_IN, _BH_OUT))), _BH_IN),
+    "c_bh_u": ("p_bh_u", (), _BH_OUT),
+}
+
+
+@settings(derandomize=True, deadline=None)
+@given(_cells_and_allocs())
+def test_partials_follow_the_sign_table(case):
+    # a rate rises with its own power and falls with each interferer,
+    # which reaches it only when the two links share a slot; eta raises it
+    # in the eta slot, lowers it in the 1 - eta slot and leaves it alone
+    # when it is always on
+    scheme, params, a = case
+    (_, jac), _ = _fused_and_plain(scheme, params, a)
+    slots = SLOTS[scheme]
+    for (own, interferers, link), row in zip(_SIGN_TABLE.values(), jac):
+        partial = dict(zip(_POWERS, row[:5]))
+        assert partial.pop(own) >= 0.0
+        for power, (one, other) in interferers:
+            value = partial.pop(power)
+            if _overlap(slots[one], slots[other]):
+                assert value <= 0.0
+            else:
+                assert value == 0.0
+        assert all(value == 0.0 for value in partial.values())
+        d_eta = row[5]
+        assert {ALWAYS: d_eta == 0.0, ETA: d_eta >= 0.0,
+                ONE_MINUS_ETA: d_eta <= 0.0}[slots[link]]
