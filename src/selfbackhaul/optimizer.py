@@ -16,6 +16,17 @@ maps built once per instance.  Repair takes its violated rows from one
 kernel call, and bisects a power on the allocation's values as a plain
 list with one kernel call per step.
 
+`minimize` drives SLSQP's C routine (scipy's private
+``_slsqplib.slsqp``) directly, in the steps scipy's
+``minimize(method="SLSQP")`` takes for these problems, so it ends on the
+same point after the same iterations with the same status.  With exact
+derivatives, scipy's Python wrapper around that routine (a memo check,
+copies and conversions on every callback, bound and constraint
+standardization on every start) costs more than the routine itself;
+`minimize` leaves it out.  The tests run the two side by side, so a
+scipy release that changes the routine fails them instead of moving the
+results.
+
 Starts run until five of them in a row (``_PATIENCE``), counted once some
 start has ended feasible, fail to raise the best sum-rate by more than 1e-6
 relative, or until ``n_starts`` have run.  Each start draws from its own
@@ -31,11 +42,11 @@ instead.  Results are deterministic for a fixed seed.
 from __future__ import annotations
 
 import math
-import warnings
 from dataclasses import dataclass, field, fields, replace
+from typing import NamedTuple
 
 import numpy as np
-from scipy.optimize import minimize
+from scipy.optimize._slsqplib import slsqp
 
 from . import _kernels
 from .feasibility import (DEFAULT_TOL, ConstraintReport, constraints,
@@ -149,6 +160,7 @@ class _Problem:
                             * params.p_an_max / params.sigma_n2)
             self._bounds.append((0.0, t_cap))
         self.dim = len(self._bounds)
+        self.lo, self.hi = (np.array(side) for side in zip(*self._bounds))
         (self._rate_map, self._alloc_map, self._select,
          self._t_cols) = self._jac_maps()
 
@@ -308,6 +320,76 @@ def _affine_coefficients(slack):
             [slack(c0, unit(n_a, k)) - base for k in range(n_a)])
 
 
+# -- SLSQP, its C routine called directly ---------------------------------
+
+# SLSQP's exit modes, worded as scipy words them
+_EXIT_MODES = {0: "Optimization terminated successfully",
+               2: "More equality constraints than independent variables",
+               3: "More than 3*n iterations in LSQ subproblem",
+               4: "Inequality constraints incompatible",
+               5: "Singular matrix E in LSQ subproblem",
+               6: "Singular matrix C in LSQ subproblem",
+               7: "Rank-deficient equality constraint subproblem HFTI",
+               8: "Positive directional derivative for linesearch",
+               9: "Iteration limit reached"}
+
+
+class SlsqpResult(NamedTuple):
+    x: np.ndarray
+    nit: int
+    status: int     # SLSQP's exit mode
+    success: bool
+    message: str
+
+
+def minimize(fun, x0, jac, bounds, constraints) -> SlsqpResult:
+    """Minimize ``fun`` from ``x0`` with SLSQP (Kraft 1988) by calling
+    its C routine directly.
+
+    ``bounds`` is the pair of arrays ``(lo, hi)``; ``constraints`` is
+    ``[{"type": "ineq", "fun": ..., "jac": ...}]``, one block of at least
+    one row ``fun(x) >= 0``.  These are the steps of scipy 1.17.1's
+    ``minimize(method="SLSQP")`` for callable derivatives, finite bounds,
+    no equality rows, ``maxiter=_MAX_ITERATIONS`` and
+    ``ftol=_OBJECTIVE_TOL``: ``x0`` is clipped to the boxes, the iterates
+    are not.  The callbacks get the solver's own ``x`` and must not keep
+    or change it.
+    """
+    lo, hi = bounds
+    (con,) = constraints
+    cons_fun, cons_jac = con["fun"], con["jac"]
+    x = np.clip(x0, lo, hi)
+    fx, g = fun(x), jac(x)
+    d = np.array(cons_fun(x), dtype=float)
+    m, n = d.size, x.size
+    C = np.zeros((m, n), order="F")
+    C[:] = cons_jac(x)
+    state = {"acc": _OBJECTIVE_TOL, "alpha": 0.0, "f0": 0.0, "gs": 0.0,
+             "h1": 0.0, "h2": 0.0, "h3": 0.0, "h4": 0.0, "t": 0.0,
+             "t0": 0.0, "tol": 10.0 * _OBJECTIVE_TOL, "exact": 0,
+             "inconsistent": 0, "reset": 0, "iter": 0,
+             "itermax": _MAX_ITERATIONS, "line": 0, "m": m, "meq": 0,
+             "mode": 0, "n": n}
+    # scipy's worst-case workspace with no equality rows; the multipliers
+    # and indices cover the rows, both bounds and an augmented problem
+    buffer = np.zeros(n * (n + 1) // 2 + 3 * m * n + 9 * m + 8 * n * n
+                      + 35 * n + 28)
+    mult = np.zeros(m + 2 * n + 2)
+    indices = np.zeros(m + 2 * n + 2, dtype=np.int32)
+    while True:
+        slsqp(state, fx, g, C, d, x, mult, lo, hi, buffer, indices)
+        mode = state["mode"]
+        if mode == 1:       # objective and constraints at the new x
+            fx = fun(x)
+            d[:] = cons_fun(x)
+        elif mode == -1:    # gradient and Jacobian at the new x
+            g = jac(x)
+            C[:] = cons_jac(x)
+        else:
+            return SlsqpResult(x, state["iter"], mode, mode == 0,
+                               _EXIT_MODES[mode])
+
+
 # -- start generation and repair ---------------------------------------
 
 
@@ -439,21 +521,12 @@ def optimize(scheme: Scheme, params: SystemParams,
             t0 = min(parts[3], parts[4])
         x0 = problem.from_alloc(repaired, t=t0)
 
-        with warnings.catch_warnings():
-            # SLSQP line searches may probe outside the boxes; scipy clips
-            # and warns, which is routine here.
-            warnings.filterwarnings(
-                "ignore", message="Values in x were outside bounds")
-            res = minimize(
-                problem.objective, x0, jac=problem.objective_grad,
-                method="SLSQP", bounds=problem.bounds(),
-                constraints=[{"type": "ineq", "fun": problem.constraint_vec,
-                              "jac": problem.constraint_jac}],
-                options={"maxiter": _MAX_ITERATIONS, "ftol": _OBJECTIVE_TOL},
-            )
-
-        lo, hi = zip(*problem.bounds())
-        x = np.clip(res.x, lo, hi)
+        res = minimize(
+            problem.objective, x0, jac=problem.objective_grad,
+            bounds=(problem.lo, problem.hi),
+            constraints=[{"type": "ineq", "fun": problem.constraint_vec,
+                          "jac": problem.constraint_jac}])
+        x = np.clip(res.x, problem.lo, problem.hi)
         alloc = problem.to_alloc(x)
         report = constraints(scheme, params, alloc, opts.feasibility_tol)
         # a start that ran out of iterations does not count; any other

@@ -9,7 +9,7 @@ traced benchmark; this test makes it fail the library's own suite too.
 import importlib
 from pathlib import Path
 
-from selfbackhaul import Scheme, model, sweep
+from selfbackhaul import Scheme, model, optimizer, sweep
 
 from conftest import make_params
 
@@ -24,3 +24,15 @@ def test_tracer_patches_and_restores_every_hook(monkeypatch):
         assert sweep.validate(make_params(), Scheme.HALF_DUPLEX) == []
     assert traced.calls["model.validate"] == 1
     assert model.validate is validate and sweep.validate is validate
+
+
+def test_optimize_runs_every_start_through_the_hooked_slsqp(monkeypatch):
+    # the tracer times SLSQP by swapping `optimizer.minimize`, so
+    # `optimize` must look `minimize` up when it calls it
+    monkeypatch.syspath_prepend(str(PERFBENCH))
+    tracer = importlib.import_module("tracer")
+    with tracer.instrument(tracer.Tracer()) as traced:
+        result = optimizer.optimize(Scheme.FULL_DUPLEX, make_params())
+    assert traced.calls["slsqp.minimize"] == len(result.starts)
+    for name in ("slsqp.fun", "slsqp.cons", "slsqp.grad", "slsqp.jac"):
+        assert traced.calls[name] > 0, name

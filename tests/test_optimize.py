@@ -3,6 +3,7 @@
 from dataclasses import replace
 import math
 from unittest import mock
+import warnings
 
 from hypothesis import given, settings, strategies as st
 import numpy as np
@@ -316,6 +317,64 @@ def test_gradient_and_jacobian_are_separate_arrays(scheme, cell):
         jac = problem.constraint_jac(x)
         assert grad.flags.owndata and jac.flags.owndata
         assert not np.shares_memory(grad, jac)
+
+
+def _scipy_slsqp(problem, x0):
+    """``scipy.optimize.minimize(method="SLSQP")`` on ``problem`` with the
+    settings of `optimizer.minimize`, the reference it must reproduce."""
+    with warnings.catch_warnings():
+        warnings.filterwarnings(
+            "ignore", message="Values in x were outside bounds")
+        return minimize(
+            problem.objective, x0, jac=problem.objective_grad,
+            method="SLSQP", bounds=problem.bounds(),
+            constraints=[{"type": "ineq", "fun": problem.constraint_vec,
+                          "jac": problem.constraint_jac}],
+            options={"maxiter": optimizer_mod._MAX_ITERATIONS,
+                     "ftol": optimizer_mod._OBJECTIVE_TOL})
+
+
+_FIG4A_65_DB = dict(load_sweep_spec(preset_path("fig4a")).base_db,
+                    si_cancellation_db=65)
+
+
+@pytest.mark.parametrize("scheme,db,seed", [
+    (Scheme.FULL_DUPLEX, {}, 42),
+    (Scheme.HALF_DUPLEX, {}, 42),
+    (Scheme.HYBRID_RELAY, {}, 42),
+    (Scheme.HYBRID_RELAY, {"k_an": 2, "m_bh_t": 2, "m_bh_r": 4}, 7),
+    (Scheme.FULL_DUPLEX, {"k_an": 1}, 42),
+    (Scheme.HALF_DUPLEX, {"k_d2d": 2}, 42),
+    (Scheme.FULL_DUPLEX, {"si_cancellation_db": 70}, 1),
+    (Scheme.FULL_DUPLEX, _FIG4A_65_DB, 3),
+], ids=["fd", "hd", "rl", "rl-relayed-pairs", "fd-relayed-pair",
+        "hd-direct-pairs", "fd-70-dB", "fd-fig4a-65-dB"])
+def test_own_slsqp_loop_matches_scipy_minimize(monkeypatch, scheme, db, seed):
+    # `optimizer.minimize` calls a private scipy routine: it must take the
+    # steps scipy's own SLSQP wrapper takes, from every start `optimize`
+    # makes
+    params = make_params(**db)
+    ours = optimizer_mod.minimize
+    results = []
+
+    def both(fun, x0, **kwargs):
+        problem = fun.__self__
+        expected = _scipy_slsqp(problem, x0.copy())
+        res = ours(fun, x0, **kwargs)
+        assert np.array_equal(res.x, expected.x)
+        assert (res.nit, res.status, res.success, res.message) == (
+            expected.nit, expected.status, expected.success,
+            expected.message)
+        results.append(res)
+        return res
+
+    monkeypatch.setattr(optimizer_mod, "minimize", both)
+    result = optimize(scheme, params, OptimizerOptions(n_starts=8,
+                                                       rng_seed=seed))
+    assert len(results) == len(result.starts)
+    if db is _FIG4A_65_DB:
+        # the first start stops with status 8 on an infeasible point
+        assert results[0].status == 8 and not result.starts[0].feasible
 
 
 @pytest.mark.parametrize("scheme", list(Scheme))
