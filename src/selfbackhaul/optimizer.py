@@ -25,7 +25,12 @@ copies and conversions on every callback, bound and constraint
 standardization on every start) costs more than the routine itself;
 `minimize` leaves it out.  The tests run the two side by side, so a
 scipy release that changes the routine fails them instead of moving the
-results.
+results.  The extension is loaded on its own from scipy's ``optimize``
+folder when this module is imported: importing it as
+``scipy.optimize._slsqplib`` would first run ``scipy/optimize/__init__.py``,
+which loads scipy.linalg, linprog and some 560 other modules, most of a
+command's start-up time and about 40 MB of resident memory, none of it
+used here.
 
 Starts run until five of them in a row (``_PATIENCE``), counted once some
 start has ended feasible, fail to raise the best sum-rate by more than 1e-6
@@ -41,12 +46,14 @@ instead.  Results are deterministic for a fixed seed.
 
 from __future__ import annotations
 
+import importlib.machinery
+import importlib.util
 import math
+import os
 from dataclasses import dataclass, field, fields, replace
 from typing import NamedTuple
 
 import numpy as np
-from scipy.optimize._slsqplib import slsqp
 
 from . import _kernels
 from .feasibility import (DEFAULT_TOL, ConstraintReport, constraints,
@@ -322,6 +329,24 @@ def _affine_coefficients(slack):
 
 # -- SLSQP, its C routine called directly ---------------------------------
 
+
+def _load_slsqplib():
+    """scipy's ``_slsqplib`` extension, loaded alone from scipy's
+    ``optimize`` folder: scipy's package code does not run, and the module
+    is not entered in ``sys.modules``."""
+    scipy_spec = importlib.util.find_spec("scipy")
+    roots = scipy_spec.submodule_search_locations if scipy_spec else None
+    folders = [os.path.join(root, "optimize") for root in roots or ()]
+    spec = importlib.machinery.PathFinder.find_spec("_slsqplib", folders)
+    if spec is None:
+        raise ImportError(f"SLSQP extension _slsqplib not found in {folders}")
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+slsqp = _load_slsqplib().slsqp
+
 # SLSQP's exit modes, worded as scipy words them
 _EXIT_MODES = {0: "Optimization terminated successfully",
                2: "More equality constraints than independent variables",
@@ -394,7 +419,11 @@ def minimize(fun, x0, jac, bounds, constraints) -> SlsqpResult:
 
 
 def _draw_start(problem: _Problem, rng) -> PowerAllocation:
-    p = [10.0 ** rng.uniform(np.log10(_P_START_FLOOR_MW), np.log10(cap))
+    """A random start: each power log-uniform between the start floor and
+    its cap (at the cap when the cap is below the floor), ``eta``
+    uniform."""
+    p = [10.0 ** rng.uniform(np.log10(min(_P_START_FLOOR_MW, cap)),
+                             np.log10(cap))
          for cap in _caps(problem.params)[:problem.n_powers]]
     p_u_d2d = p[4] if problem.has_d2d else 0.0
     eta = rng.uniform(0.0, 1.0) if problem.has_eta else 0.5

@@ -10,7 +10,6 @@ worker pool; row ordering is deterministic either way.
 from __future__ import annotations
 
 import math
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field, fields, replace
 from importlib import resources
 from pathlib import Path
@@ -153,6 +152,8 @@ def run_sweep(spec: SweepSpec, jobs: int = 1) -> list:
     if jobs < 1:
         raise ConfigError(f"jobs must be >= 1, got {jobs}")
     if jobs > 1:
+        # imported here: serial runs never load the pool's modules
+        from concurrent.futures import ProcessPoolExecutor
         with ProcessPoolExecutor(max_workers=jobs) as pool:
             chunks = list(pool.map(_rows_for_point, [spec] * len(spec.axis),
                                    spec.axis))

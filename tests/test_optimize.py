@@ -1,7 +1,14 @@
 """Multi-start optimizer behavior: determinism, orderings, baselines."""
 
 from dataclasses import replace
+import importlib.machinery
+import importlib.util
 import math
+import os
+from pathlib import Path
+import re
+import subprocess
+import sys
 from unittest import mock
 import warnings
 
@@ -9,6 +16,7 @@ from hypothesis import given, settings, strategies as st
 import numpy as np
 import pytest
 from scipy.optimize import minimize
+import scipy.optimize._slsqplib
 
 from selfbackhaul import _kernels
 from selfbackhaul.feasibility import ConstraintReport, constraints, slack_rows
@@ -375,6 +383,49 @@ def test_own_slsqp_loop_matches_scipy_minimize(monkeypatch, scheme, db, seed):
     if db is _FIG4A_65_DB:
         # the first start stops with status 8 on an infeasible point
         assert results[0].status == 8 and not result.starts[0].feasible
+
+
+def test_slsqp_is_loaded_from_scipys_own_extension():
+    # the routine the oracle test above compares against is the same file
+    assert os.path.samefile(optimizer_mod._load_slsqplib().__spec__.origin,
+                            scipy.optimize._slsqplib.__file__)
+
+
+def test_missing_slsqp_extension_names_the_folder_searched(monkeypatch,
+                                                          tmp_path):
+    empty = importlib.machinery.ModuleSpec("scipy", None, is_package=True)
+    empty.submodule_search_locations = [str(tmp_path)]
+    monkeypatch.setattr(importlib.util, "find_spec", lambda name: empty)
+    with pytest.raises(ImportError,
+                       match=re.escape(str(tmp_path / "optimize"))):
+        optimizer_mod._load_slsqplib()
+
+
+_IMPORT_GRAPH = """\
+import sys
+import selfbackhaul.cli
+from selfbackhaul import Scheme
+from selfbackhaul.model import load_params_db, params_from_db
+from selfbackhaul.optimizer import optimize
+from selfbackhaul.sweep import preset_path
+params = params_from_db(load_params_db(preset_path("default")))
+assert optimize(Scheme.FULL_DUPLEX, params).converged_count > 0
+print(sorted(name for name in sys.modules
+             if name in ("scipy.optimize", "concurrent.futures.process")))
+"""
+
+
+def test_cli_and_optimize_load_neither_scipy_optimize_nor_the_pool():
+    # SLSQP's extension is loaded alone and the pool only by a parallel
+    # sweep; `scipy.optimize` alone costs most of a command's start-up
+    src = Path(__file__).resolve().parent.parent / "src"
+    path = os.environ.get("PYTHONPATH")
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        [str(src)] + ([path] if path else [])))
+    done = subprocess.run([sys.executable, "-c", _IMPORT_GRAPH], env=env,
+                          capture_output=True, text=True, timeout=120,
+                          check=True)
+    assert done.stdout.strip() == "[]"
 
 
 @pytest.mark.parametrize("scheme", list(Scheme))

@@ -285,6 +285,29 @@ def test_cli_sweep_keeps_going_past_a_point_with_no_feasible_start(
         True, False, True]
 
 
+def test_cli_optimize_with_a_cap_below_the_start_floor(tmp_path, capsys):
+    # -40 dBm is below the -30 dBm floor of the random starts' range
+    cfg = tmp_path / "cell.cfg"
+    cfg.write_text("\n".join(f"{k} = {v}" for k, v in dict(
+        REFERENCE_DB, p_ue_dbm=-40).items()), encoding="utf-8")
+    code = cli.main(["optimize", "--scheme", "fd", "--config", str(cfg),
+                     "--starts", "6"])
+    assert code == 0
+    assert "feasible=true" in capsys.readouterr().out
+
+
+def test_sweep_over_a_cap_below_the_start_floor_returns_every_row():
+    spec = small_spec(kind="custom_grid", axis=[-40, 25],
+                      axis_param="p_ue_dbm", schemes=list(Scheme))
+    rows = run_sweep(spec)
+    assert sorted((r.axis, r.scheme, r.optimized) for r in rows) == sorted(
+        (axis, scheme.value, optimized) for axis in (-40.0, 25.0)
+        for scheme in Scheme for optimized in (False, True))
+    for row in rows:
+        assert row.converged >= 0 and math.isfinite(row.c_s)
+        assert row.p_u_mw <= 10 ** (row.axis / 10) * (1 + 1e-12)
+
+
 def test_cli_sweep_writes_csv(tmp_path, capsys):
     base = _write_reference_config(tmp_path)
     spec_file = tmp_path / "sweep.cfg"
