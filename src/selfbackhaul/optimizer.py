@@ -9,12 +9,14 @@ repaired point is feasible.  The constraints are the rows of
 solver and the feasibility report share one encoding; `model.links` says
 whether ``eta`` is a variable.  The nonsmooth ``min`` term contributed by
 AN-relayed pairs is handled through an epigraph auxiliary variable.
-The objective gradient and the constraint Jacobian are exact: the
-objective and every row are affine in the rates and the allocation, so
-both come from the kernel's closed-form partials at the iterate through
-maps built once per instance.  Repair takes its violated rows from one
-kernel call, and bisects a power on the allocation's values as a plain
-list with one kernel call per step.
+The objective and the rows are stated once, in `_Problem._outputs`: a
+point's values are `_outputs` at the kernel's rates.  `_outputs` is
+affine in the rates, the allocation and the epigraph level, so the exact
+objective gradient and constraint Jacobian are one `_kernels.rate_jac`
+call at the iterate through maps read off `_outputs` once per instance.
+Repair takes its violated rows from one kernel call, and bisects a power
+on the allocation's values as a plain list with one kernel call per step.
+Repair and the feasibility of every start use `feasibility.DEFAULT_TOL`.
 
 `minimize` drives SLSQP's C routine (scipy's private
 ``_slsqplib.slsqp``) directly, in the steps scipy's
@@ -51,7 +53,7 @@ import importlib.util
 import math
 import os
 from dataclasses import dataclass, field, fields, replace
-from typing import NamedTuple
+from typing import ClassVar, NamedTuple
 
 import numpy as np
 
@@ -75,12 +77,7 @@ _PATIENCE = 5               # starts in a row with no such rise before stopping
 _SHRINK_FIELD = {"bh_dl": "p_d", "rho_lo": "p_d",
                  "bh_ul": "p_u", "rho_hi": "p_u"}
 _ALLOC_FIELDS = tuple(f.name for f in fields(PowerAllocation))
-# `_kernels.rate_parts` outputs, and those that are the rates ``c`` the
-# rows of `slack_rows` take
-_PART_NAMES = ("c_d", "c_u", "c_d2d", "relay_dl", "relay_ul",
-               "c_bh_d", "c_bh_u")
-_ROW_RATES = [_PART_NAMES.index(name)
-              for name in ("c_d", "c_u", "c_bh_d", "c_bh_u")]
+_N_PARTS = 7                # `_kernels.rate_parts` outputs
 _LN10 = math.log(10.0)
 
 
@@ -88,15 +85,15 @@ _LN10 = math.log(10.0)
 class OptimizerOptions:
     n_starts: int = 50      # the cap on the starts run
     rng_seed: int = 42
-    feasibility_tol: float = DEFAULT_TOL
+    # Not a setting: every run judges feasibility at `DEFAULT_TOL`.  The
+    # name stays because the benchmark's results gate reads it.
+    feasibility_tol: ClassVar[float] = DEFAULT_TOL
 
     def check(self):
         if self.n_starts < 1:
             raise ValueError("n_starts must be >= 1")
         if self.rng_seed < 0:
             raise ValueError(f"rng_seed must be >= 0, got {self.rng_seed}")
-        if self.feasibility_tol <= 0:
-            raise ValueError("feasibility_tol must be > 0")
 
 
 @dataclass
@@ -155,19 +152,19 @@ class _Problem:
                       if label not in boxed]
 
         self.n_powers = 5 if self.has_d2d else 4
-        self._bounds = [(_LOG_FLOOR, np.log10(c))
-                        for c in _caps(params)[:self.n_powers]]
+        bounds = [(_LOG_FLOOR, np.log10(c))
+                  for c in _caps(params)[:self.n_powers]]
         if self.has_eta:
-            self.eta_idx = len(self._bounds)
-            self._bounds.append((0.0, 1.0))
+            self.eta_idx = len(bounds)
+            bounds.append((0.0, 1.0))
         if self.epigraph:
             # loose upper bound on the per-pair relay rate
-            self.t_idx = len(self._bounds)
+            self.t_idx = len(bounds)
             t_cap = np.log2(1.0 + params.l_ue * params.n_t
                             * params.p_an_max / params.sigma_n2)
-            self._bounds.append((0.0, t_cap))
-        self.dim = len(self._bounds)
-        self.lo, self.hi = (np.array(side) for side in zip(*self._bounds))
+            bounds.append((0.0, t_cap))
+        self.dim = len(bounds)
+        self.lo, self.hi = (np.array(side) for side in zip(*bounds))
         (self._rate_map, self._alloc_map, self._select,
          self._t_cols) = self._jac_maps()
 
@@ -178,17 +175,19 @@ class _Problem:
 
     # -- variable vector <-> allocation --------------------------------
 
-    def powers(self, x):
-        return 10.0 ** x[:self.n_powers]
+    def _args(self, x, key):
+        """The kernel's allocation arguments at ``x``, in `as_tuple` order;
+        ``key`` is ``x.tolist()``."""
+        p = (10.0 ** x[:self.n_powers]).tolist()
+        return (p[0], p[1], p[2], p[3], p[4] if self.has_d2d else 0.0,
+                key[self.eta_idx] if self.has_eta else 0.5)
 
     def to_alloc(self, x) -> PowerAllocation:
-        p = self.powers(x).tolist()
-        p_u_d2d = p[4] if self.has_d2d else 0.0
-        eta = float(x[self.eta_idx]) if self.has_eta else 0.5
-        return PowerAllocation(p_d=p[0], p_u=p[1], p_bh_d=p[2], p_bh_u=p[3],
-                               p_u_d2d=p_u_d2d, eta=eta)
+        return PowerAllocation(*self._args(x, x.tolist()))
 
-    def from_alloc(self, alloc: PowerAllocation, t=None):
+    def from_alloc(self, alloc: PowerAllocation):
+        """The variable vector of ``alloc``; the epigraph level starts at
+        the smaller relay rate, the most the rows allow there."""
         p = [alloc.p_d, alloc.p_u, alloc.p_bh_d, alloc.p_bh_u]
         if self.has_d2d:
             p.append(alloc.p_u_d2d)
@@ -196,10 +195,28 @@ class _Problem:
         if self.has_eta:
             x.append(alloc.eta)
         if self.epigraph:
-            x.append(0.0 if t is None else t)
+            parts = _kernels.rate_parts(self.kernel, *alloc.as_tuple())
+            x.append(min(parts[3], parts[4]))
         return np.asarray(x)
 
     # -- evaluation -----------------------------------------------------
+
+    def _outputs(self, parts, a, t):
+        """(negated objective, rows): the SLSQP problem at the kernel's
+        ``parts``, the allocation ``a`` and the epigraph level ``t``.
+
+        The rows are the handed-over `slack_rows` rows, then the two
+        epigraph rows ``relay - t``; each is ``>= 0`` when it holds.
+        """
+        c_d, c_u, c_d2d, relay_dl, relay_ul, c_bh_d, c_bh_u = parts
+        obj = c_d + c_u + c_d2d
+        c = (c_d, c_u, c_bh_d, c_bh_u)
+        g = [slack(c, a) for slack in self._rows]
+        if self.epigraph:
+            obj += self.params.k_an * t
+            g.append(relay_dl - t)
+            g.append(relay_ul - t)
+        return -obj, g
 
     def eval_point(self, x):
         """(negated objective, constraint slack vector >= 0 when feasible).
@@ -212,64 +229,49 @@ class _Problem:
         key = x.tolist()
         if key == self._memo_key:
             return self._memo_val
-        a = self._args(self.powers(x).tolist(),
-                       key[self.eta_idx] if self.has_eta else 0.5)
-        c_d, c_u, c_d2d, relay_dl, relay_ul, c_bh_d, c_bh_u = (
-            _kernels.rate_parts(self.kernel, *a))
-
-        obj = c_d + c_u + c_d2d
-        c = (c_d, c_u, c_bh_d, c_bh_u)
-        g = [slack(c, a) for slack in self._rows]
-        if self.epigraph:
-            t = key[self.t_idx]
-            obj += self.params.k_an * t
-            g.append(relay_dl - t)
-            g.append(relay_ul - t)
-        value = (-obj, np.asarray(g))
+        a = self._args(x, key)
+        obj, g = self._outputs(_kernels.rate_parts(self.kernel, *a), a,
+                               key[self.t_idx] if self.epigraph else 0.0)
+        value = (obj, np.asarray(g))
         self._memo_key = key
         self._memo_val = value
         return value
-
-    def _args(self, p, eta):
-        """The kernel's allocation arguments, in `as_tuple` order."""
-        return (p[0], p[1], p[2], p[3], p[4] if self.has_d2d else 0.0, eta)
 
     def _jac_maps(self):
         """(rate map, allocation map, variable selection, ``t`` columns):
         the fixed maps from the kernel's partials to the derivatives.
 
-        The negated objective and every SLSQP row are affine in the rates
-        ``c`` and the allocation ``a`` (and in the epigraph level ``t``),
-        so each output's derivative is its rate coefficients times the
-        kernel's partials, plus its allocation coefficients times
-        ``da/dx``, plus its ``t`` coefficient.  The coefficients of each
-        row are read off the row itself, so `slack_rows` stays the one
-        encoding of the constraints.
+        `_outputs` is affine in the kernel's parts, the allocation ``a``
+        and the epigraph level ``t``, so each output's derivative is its
+        part coefficients times the kernel's partials, plus its allocation
+        coefficients times ``da/dx``, plus its ``t`` coefficient.  Every
+        coefficient is read off `_outputs` on unit vectors, so the problem
+        is stated once.
         """
-        n_out = 1 + len(self._rows) + (2 if self.epigraph else 0)
-        rate_map = np.zeros((n_out, len(_PART_NAMES)))
-        alloc_map = np.zeros((n_out, len(_ALLOC_FIELDS)))
-        t_cols = np.zeros((n_out, self.dim))
-        rate_map[0, [_PART_NAMES.index(name)
-                     for name in ("c_d", "c_u", "c_d2d")]] = -1.0
-        for i, slack in enumerate(self._rows, start=1):
-            rate_map[i, _ROW_RATES], alloc_map[i] = _affine_coefficients(slack)
+        n_alloc = len(_ALLOC_FIELDS)
+
+        def outputs(parts=(0.0,) * _N_PARTS, a=(0.0,) * n_alloc, t=0.0):
+            obj, g = self._outputs(parts, a, t)
+            return np.array([obj, *g])
+        base = outputs()
+        rate_map = np.array([outputs(parts=unit) - base
+                             for unit in np.eye(_N_PARTS).tolist()]).T
+        alloc_map = np.array([outputs(a=unit) - base
+                              for unit in np.eye(n_alloc).tolist()]).T
+        t_cols = np.zeros((base.size, self.dim))
         if self.epigraph:
-            rate_map[-2, _PART_NAMES.index("relay_dl")] = 1.0
-            rate_map[-1, _PART_NAMES.index("relay_ul")] = 1.0
-            t_cols[0, self.t_idx] = -self.params.k_an
-            t_cols[-2:, self.t_idx] = -1.0
+            t_cols[:, self.t_idx] = outputs(t=1.0) - base
         # kernel columns (as_tuple order) -> this problem's variables
         used = list(range(self.n_powers))
         if self.has_eta:
             used.append(_ALLOC_FIELDS.index("eta"))
-        select = np.zeros((len(_ALLOC_FIELDS), self.dim))
+        select = np.zeros((n_alloc, self.dim))
         select[used, range(len(used))] = 1.0
         return rate_map, alloc_map, select, t_cols
 
     def derivatives(self, x):
         """(objective gradient, constraint Jacobian), exact, from one
-        `_kernels.rate_parts_jac` call.
+        `_kernels.rate_jac` call.
 
         The kernel's partials are taken with respect to the log10 powers,
         the optimizer's own variables; the allocation terms of the rows
@@ -281,9 +283,8 @@ class _Problem:
         key = x.tolist()
         if key == self._deriv_key:
             return self._deriv_val
-        a = self._args(self.powers(x).tolist(),
-                       key[self.eta_idx] if self.has_eta else 0.5)
-        _, jac = _kernels.rate_parts_jac(self.kernel, *a)
+        a = self._args(x, key)
+        jac = _kernels.rate_jac(self.kernel, *a)
         da_dx = [v * _LN10 for v in a[:-1]]
         da_dx.append(1.0)
         out = ((self._rate_map @ np.array(jac) + self._alloc_map * da_dx)
@@ -305,26 +306,10 @@ class _Problem:
     def constraint_jac(self, x):
         return self.derivatives(x)[1]
 
-    def bounds(self):
-        return self._bounds
-
 
 def _scaled(slack, scale):
     """The AN budget row in units of the budget, the order of the rates."""
     return lambda c, a: slack(c, a) / scale
-
-
-def _affine_coefficients(slack):
-    """(rate coefficients, allocation coefficients) of a row affine in
-    ``(c, a)``, read off the row on unit vectors."""
-    n_c, n_a = len(_ROW_RATES), len(_ALLOC_FIELDS)
-
-    def unit(size, k):
-        return tuple(float(i == k) for i in range(size))
-    c0, a0 = (0.0,) * n_c, (0.0,) * n_a
-    base = slack(c0, a0)
-    return ([slack(unit(n_c, k), a0) - base for k in range(n_c)],
-            [slack(c0, unit(n_a, k)) - base for k in range(n_a)])
 
 
 # -- SLSQP, its C routine called directly ---------------------------------
@@ -451,10 +436,7 @@ def _shrink_power(alloc, field_name, violation_fn):
     power is zero.  The bisection aims slightly below the boundary, so the
     row holds with room to spare: a later shrink of a coupled power in the
     same repair can then move it a little without breaking it again.  It
-    runs on the allocation as a list: the other entries come from an
-    allocation that passed `check()`, and each trial power gets that
-    check's domain test, so every trial is a valid allocation without
-    building one; only the result is built.
+    runs on the allocation as a list; only the result is built.
     """
     a = list(alloc.as_tuple())
     i = _ALLOC_FIELDS.index(field_name)
@@ -464,10 +446,7 @@ def _shrink_power(alloc, field_name, violation_fn):
     lo, hi = 0.0, 1.0
     for _ in range(_BISECT_ITERS):
         mid = 0.5 * (lo + hi)
-        a[i] = value = mid * base
-        if not math.isfinite(value) or value < 0.0:
-            raise ValueError(
-                f"{field_name} must be finite and >= 0, got {value}")
+        a[i] = mid * base
         if violation_fn(a) > -_REPAIR_MARGIN:
             hi = mid
         else:
@@ -477,14 +456,15 @@ def _shrink_power(alloc, field_name, violation_fn):
 
 
 def repair_start(scheme: Scheme, params: SystemParams,
-                 alloc: PowerAllocation, tol: float) -> PowerAllocation:
+                 alloc: PowerAllocation) -> PowerAllocation:
     """Pull a random start toward the feasible set in one pass.
 
     The powers are clipped to their boxes, and the AN power pair is
     rescaled onto its budget when the two share it.  One kernel call at
     that point finds the rate rows (backhaul capacity, rate-ratio bounds)
-    violated by more than ``tol``; in `slack_rows` order, the power behind
-    each is then bisected toward zero until its row holds with margin.
+    violated by more than `DEFAULT_TOL`; in `slack_rows` order, the power
+    behind each is then bisected toward zero until its row holds with
+    margin.
     The schemes couple the links through interference, so a later shrink
     may break a row an earlier one cleared; the start is returned either
     way, and SLSQP takes it from there.
@@ -506,7 +486,7 @@ def repair_start(scheme: Scheme, params: SystemParams,
     c_d, c_u, _, _, _, c_bh_d, c_bh_u = _kernels.rate_parts(kernel, *a)
     c = (c_d, c_u, c_bh_d, c_bh_u)
     for label, slack in slack_rows(scheme, params):
-        if label in _SHRINK_FIELD and -slack(c, a) > tol:
+        if label in _SHRINK_FIELD and -slack(c, a) > DEFAULT_TOL:
             alloc = _shrink_power(alloc, _SHRINK_FIELD[label],
                                   _row_violation(kernel, slack))
     return alloc
@@ -542,14 +522,7 @@ def optimize(scheme: Scheme, params: SystemParams,
             break
         rng = np.random.default_rng([opts.rng_seed, index])
         raw = _draw_start(problem, rng)
-        repaired = repair_start(scheme, params, raw, opts.feasibility_tol)
-
-        t0 = None
-        if problem.epigraph:
-            parts = _kernels.rate_parts(problem.kernel, *repaired.as_tuple())
-            t0 = min(parts[3], parts[4])
-        x0 = problem.from_alloc(repaired, t=t0)
-
+        x0 = problem.from_alloc(repair_start(scheme, params, raw))
         res = minimize(
             problem.objective, x0, jac=problem.objective_grad,
             bounds=(problem.lo, problem.hi),
@@ -557,7 +530,7 @@ def optimize(scheme: Scheme, params: SystemParams,
                           "jac": problem.constraint_jac}])
         x = np.clip(res.x, problem.lo, problem.hi)
         alloc = problem.to_alloc(x)
-        report = constraints(scheme, params, alloc, opts.feasibility_tol)
+        report = constraints(scheme, params, alloc)
         # a start that ran out of iterations does not count; any other
         # final point counts if it independently checks out as feasible
         # (solver stalls routinely end exactly on the constrained optimum)
@@ -581,7 +554,7 @@ def optimize(scheme: Scheme, params: SystemParams,
     if best is None:
         off = PowerAllocation(0.0, 0.0, 0.0, 0.0)
         best = (rates(scheme, params, off),
-                constraints(scheme, params, off, opts.feasibility_tol))
+                constraints(scheme, params, off))
 
     best_rates, best_report = best
     return OptResult(scheme=scheme, best_alloc=best_rates.alloc,

@@ -1,12 +1,15 @@
-"""The library attributes that the benchmark's layer tracer patches.
+"""What the benchmark relies on in the library.
 
 `perfbench/tracer.py` times each layer by swapping module attributes
 (`model.validate`, `optimizer.repair_start`, `zfval._complex_rows`, ...)
-for wrappers.  A refactor that drops or renames one of them breaks the
-traced benchmark; this test makes it fail the library's own suite too.
+for wrappers, and `perfbench/workloads.py` checks every result against
+the committed `perfbench/fingerprint.json`.  A refactor that drops or
+renames a hooked attribute, or moves an optimized result, breaks the
+benchmark; these tests make it fail the library's own suite too.
 """
 
 import importlib
+import json
 from pathlib import Path
 
 from selfbackhaul import Scheme, model, optimizer, sweep
@@ -36,3 +39,24 @@ def test_optimize_runs_every_start_through_the_hooked_slsqp(monkeypatch):
     assert traced.calls["slsqp.minimize"] == len(result.starts)
     for name in ("slsqp.fun", "slsqp.cons", "slsqp.grad", "slsqp.jac"):
         assert traced.calls[name] > 0, name
+
+
+def test_first_sweep_requests_pass_the_results_gate(monkeypatch, tmp_path):
+    # three si-sweep cells and one pairs-sweep-j2 batch (two pool workers)
+    # of bench seed 1, checked as the benchmark checks them: each c_s
+    # against the fingerprint at library seed 42, each optimized point by
+    # an independent `constraints()` report at the options' tolerance
+    monkeypatch.syspath_prepend(str(PERFBENCH))
+    wl = importlib.import_module("workloads")
+    fingerprint = json.loads(
+        (PERFBENCH / "fingerprint.json").read_text(encoding="utf-8"))
+    reference = fingerprint["cells"][str(wl.PRESET_SEED)]
+    requests = (wl.si_requests(1, wl.PRESET_SEED)[:3]
+                + wl.pairs_requests(1, wl.PRESET_SEED)[:1])
+    assert [r.jobs for r in requests] == [1, 1, 1, wl.PAIRS_JOBS]
+    csv_path = tmp_path / "request.csv"
+    for request in requests:
+        rows = wl.run_sweep_request(request, csv_path)
+        csv_text = csv_path.read_text(encoding="utf-8")
+        assert wl.check_sweep(request, rows, reference, csv_text) == [], (
+            request.label)

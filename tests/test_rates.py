@@ -320,9 +320,6 @@ def test_kernel_equals_per_scheme_closed_forms(scheme):
                 *_oracle_sinrs(scheme, params, a))
             parts = rate_components(scheme, params, a)
             assert parts == _oracle_parts(scheme, params, a)
-            # the fused kernel returns the same rates
-            assert _kernels.rate_parts_jac(
-                links(scheme, params).kernel, *a.as_tuple())[0] == parts
     assert all(count > 0 for count in seen.values()), seen
 
 
@@ -359,20 +356,7 @@ def test_hd_rates_independent_of_alpha(case, alpha):
         getattr(second, f) for f in _RATE_FIELDS]
 
 
-# -- the fused kernel: rates and their partials from one call ---------------
-
-
-def _fused_and_plain(scheme, params, a):
-    kernel = links(scheme, params).kernel
-    return (_kernels.rate_parts_jac(kernel, *a.as_tuple()),
-            _kernels.rate_parts(kernel, *a.as_tuple()))
-
-
-@settings(derandomize=True, deadline=None)
-@given(_cells_and_allocs())
-def test_fused_rates_equal_rate_parts(case):
-    (parts, _), plain = _fused_and_plain(*case)
-    assert parts == plain
+# -- the partials kernel ----------------------------------------------------
 
 
 _POWERS = ("p_d", "p_u", "p_bh_d", "p_bh_u", "p_u_d2d")
@@ -399,7 +383,7 @@ def test_partials_equal_sympy(scheme):
     for log_powers, eta in (((2.1, 1.0, 3.0, 1.5, 0.5), 0.3),
                             ((-1.0, 2.4, 0.5, 2.9, -3.0), 0.8),
                             ((2.9, -6.0, 3.9, -2.0, 2.0), 0.5)):
-        _, jac = _kernels.rate_parts_jac(
+        jac = _kernels.rate_jac(
             kernel, *[10.0 ** x for x in log_powers], eta)
         oracle = _sympy_partials(kernel, log_powers, eta)
         for got, want in zip(jac, oracle):
@@ -433,7 +417,7 @@ def test_partials_follow_the_sign_table(case):
     # in the eta slot, lowers it in the 1 - eta slot and leaves it alone
     # when it is always on
     scheme, params, a = case
-    (_, jac), _ = _fused_and_plain(scheme, params, a)
+    jac = _kernels.rate_jac(links(scheme, params).kernel, *a.as_tuple())
     slots = SLOTS[scheme]
     for (own, interferers, link), row in zip(_SIGN_TABLE.values(), jac):
         partial = dict(zip(_POWERS, row[:5]))

@@ -341,6 +341,13 @@ def test_cli_validate_zf_rejects_non_positive_trials(trials, capsys):
         capsys.readouterr().err)
 
 
+def test_cli_validate_zf_rejects_fewer_than_1000_trials(capsys):
+    # the SINR check needs 1000 trials; it runs after the other checks
+    code = cli.main(["validate-zf", "--trials", "999", "--seed", "1"])
+    assert code == 1
+    assert "error: need at least 1000 trials" in capsys.readouterr().err
+
+
 @pytest.mark.parametrize("jobs", ["0", "-2"])
 def test_cli_sweep_rejects_non_positive_jobs(tmp_path, jobs, capsys):
     base = _write_reference_config(tmp_path)
