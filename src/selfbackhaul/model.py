@@ -123,11 +123,11 @@ class PowerAllocation:
 
 
 # Configuration keys (dB scale), in canonical file order.
-_COUNT_KEYS = ("n_t", "n_r", "m_bh_t", "m_bh_r", "d", "u", "k_d2d", "k_an")
+COUNT_KEYS = ("n_t", "n_r", "m_bh_t", "m_bh_r", "d", "u", "k_d2d", "k_an")
 _DB_KEYS = ("noise_dbm", "l_ue_db", "l_ud_db", "l_bh_db",
             "p_an_dbm", "p_ue_dbm", "p_bh_dbm", "si_cancellation_db")
 _RATIO_KEYS = ("rho_min", "rho_max")
-CONFIG_KEYS = _COUNT_KEYS + _DB_KEYS + _RATIO_KEYS
+CONFIG_KEYS = COUNT_KEYS + _DB_KEYS + _RATIO_KEYS
 
 
 def dbm_to_mw(dbm: float) -> float:
@@ -170,7 +170,7 @@ def params_from_db(raw: Mapping[str, float]) -> SystemParams:
         raise ConfigError(f"missing configuration keys: {', '.join(missing)}")
 
     counts = {}
-    for key in _COUNT_KEYS:
+    for key in COUNT_KEYS:
         value = require_integer(key, raw[key])
         if value < 0:
             raise ConfigError(f"{key} must be >= 0, got {value}")
@@ -200,7 +200,7 @@ def params_from_db(raw: Mapping[str, float]) -> SystemParams:
 
 def params_to_db(params: SystemParams) -> dict:
     """Inverse of params_from_db (round-trips within float accuracy)."""
-    out = {key: getattr(params, key) for key in _COUNT_KEYS}
+    out = {key: getattr(params, key) for key in COUNT_KEYS}
     out["noise_dbm"] = mw_to_dbm(params.sigma_n2)
     out["l_ue_db"] = gain_to_db_loss(params.l_ue)
     out["l_ud_db"] = gain_to_db_loss(params.l_ud)

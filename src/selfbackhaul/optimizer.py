@@ -14,8 +14,9 @@ point's values are `_outputs` at the kernel's rates.  `_outputs` is
 affine in the rates, the allocation and the epigraph level, so the exact
 objective gradient and constraint Jacobian are one `_kernels.rate_jac`
 call at the iterate through maps read off `_outputs` once per instance.
-Repair takes its violated rows from one kernel call, and bisects a power
-on the allocation's values as a plain list with one kernel call per step.
+Repair runs on one list of the allocation's values: it checks the clipped
+start, takes the violated rows from one kernel call and bisects the power
+behind each in place, one kernel call per step.
 Repair and the feasibility of every start use `feasibility.DEFAULT_TOL`.
 
 `minimize` drives SLSQP's C routine (scipy's private
@@ -52,7 +53,7 @@ import importlib.machinery
 import importlib.util
 import math
 import os
-from dataclasses import dataclass, field, fields, replace
+from dataclasses import dataclass, field, fields
 from typing import ClassVar, NamedTuple
 
 import numpy as np
@@ -72,10 +73,10 @@ _OBJECTIVE_TOL = 1e-9       # SLSQP ftol
 _SLSQP_ITERATION_LIMIT = 9  # scipy SLSQP exit status for maxiter reached
 _RISE_RTOL = 1e-6           # relative rise of the best that resets patience
 _PATIENCE = 5               # starts in a row with no such rise before stopping
-# Shrinking the power named on the right drives the row's violation to
-# zero monotonically (the cross terms only help).
-_SHRINK_FIELD = {"bh_dl": "p_d", "rho_lo": "p_d",
-                 "bh_ul": "p_u", "rho_hi": "p_u"}
+# Shrinking the power at the index on the right (`as_tuple` order: p_d,
+# p_u) drives the row's violation to zero monotonically (the cross terms
+# only help).
+_SHRINK_INDEX = {"bh_dl": 0, "rho_lo": 0, "bh_ul": 1, "rho_hi": 1}
 _ALLOC_FIELDS = tuple(f.name for f in fields(PowerAllocation))
 _N_PARTS = 7                # `_kernels.rate_parts` outputs
 _LN10 = math.log(10.0)
@@ -415,81 +416,55 @@ def _draw_start(problem: _Problem, rng) -> PowerAllocation:
     return PowerAllocation(*p[:4], p_u_d2d=p_u_d2d, eta=eta)
 
 
-def _row_violation(kernel, slack):
-    """``a -> -slack(c, a)``, where ``a`` is an allocation tuple (or the
-    same values in a list) and ``c`` its rates from one ``kernel`` call:
-    the row's value in `constraints`, without the rates breakdown, the
-    other rows or the report; the caller has validated the instance and
-    each allocation.
-    """
-    def violation(a):
-        c_d, c_u, _, _, _, c_bh_d, c_bh_u = _kernels.rate_parts(kernel, *a)
-        return -slack((c_d, c_u, c_bh_d, c_bh_u), a)
-    return violation
-
-
-def _shrink_power(alloc, field_name, violation_fn):
-    """Bisect a multiplier on one power until the violation clears.
-
-    ``violation_fn`` maps an allocation tuple (see `_row_violation`) to a
-    scalar that must become <= 0; it must be non-positive when the chosen
-    power is zero.  The bisection aims slightly below the boundary, so the
-    row holds with room to spare: a later shrink of a coupled power in the
-    same repair can then move it a little without breaking it again.  It
-    runs on the allocation as a list; only the result is built.
-    """
-    a = list(alloc.as_tuple())
-    i = _ALLOC_FIELDS.index(field_name)
-    base = a[i]
-    if base <= 0.0:
-        return alloc
-    lo, hi = 0.0, 1.0
-    for _ in range(_BISECT_ITERS):
-        mid = 0.5 * (lo + hi)
-        a[i] = mid * base
-        if violation_fn(a) > -_REPAIR_MARGIN:
-            hi = mid
-        else:
-            lo = mid
-    a[i] = lo * base
-    return PowerAllocation(*a)
-
-
 def repair_start(scheme: Scheme, params: SystemParams,
                  alloc: PowerAllocation) -> PowerAllocation:
     """Pull a random start toward the feasible set in one pass.
 
-    The powers are clipped to their boxes, and the AN power pair is
-    rescaled onto its budget when the two share it.  One kernel call at
-    that point finds the rate rows (backhaul capacity, rate-ratio bounds)
-    violated by more than `DEFAULT_TOL`; in `slack_rows` order, the power
-    behind each is then bisected toward zero until its row holds with
-    margin.
+    Repair runs on the allocation's values as one list ``a`` in `as_tuple`
+    order.  The powers and ``eta`` are clipped to their boxes and must then
+    pass `PowerAllocation.check`, so a negative or NaN power, or a NaN
+    ``eta``, raises a ValueError naming it; the AN power pair is rescaled
+    onto its budget when the two share it.  One kernel
+    call at that point finds the rate rows (backhaul capacity, rate-ratio
+    bounds) violated by more than `DEFAULT_TOL`; in `slack_rows` order, the
+    power behind each is then bisected toward zero, one kernel call per
+    step, until its row holds with ``_REPAIR_MARGIN`` to spare.
     The schemes couple the links through interference, so a later shrink
-    may break a row an earlier one cleared; the start is returned either
-    way, and SLSQP takes it from there.
+    may move a row an earlier one cleared; the margin absorbs small moves,
+    the start is returned either way, and SLSQP takes it from there.
     """
-    # the bisections evaluate their one row on the kernel directly
     scheme_links = require_valid(params, scheme)
-    # box clips
-    alloc = PowerAllocation(
-        *(min(p, cap) for p, cap in zip(alloc.as_tuple(), _caps(params))),
-        eta=min(max(alloc.eta, 0.0), 1.0))
+    a = [min(p, cap) for p, cap in zip(alloc.as_tuple(), _caps(params))]
+    a.append(min(max(alloc.eta, 0.0), 1.0))
+    PowerAllocation(*a).check()
     if scheme_links.shared_budget:
-        total = alloc.p_d + alloc.p_bh_u
+        total = a[0] + a[3]
         if total > params.p_an_max:
             f = params.p_an_max / total
-            alloc = replace(alloc, p_d=alloc.p_d * f, p_bh_u=alloc.p_bh_u * f)
+            a[0] *= f
+            a[3] *= f
 
     kernel = scheme_links.kernel
-    a = alloc.as_tuple()
     c_d, c_u, _, _, _, c_bh_d, c_bh_u = _kernels.rate_parts(kernel, *a)
     c = (c_d, c_u, c_bh_d, c_bh_u)
-    for label, slack in slack_rows(scheme, params):
-        if label in _SHRINK_FIELD and -slack(c, a) > DEFAULT_TOL:
-            alloc = _shrink_power(alloc, _SHRINK_FIELD[label],
-                                  _row_violation(kernel, slack))
-    return alloc
+    violated = [(_SHRINK_INDEX[label], slack)
+                for label, slack in slack_rows(scheme, params)
+                if label in _SHRINK_INDEX and -slack(c, a) > DEFAULT_TOL]
+    for i, slack in violated:
+        base = a[i]
+        if base <= 0.0:
+            continue
+        lo, hi = 0.0, 1.0
+        for _ in range(_BISECT_ITERS):
+            mid = 0.5 * (lo + hi)
+            a[i] = mid * base
+            c_d, c_u, _, _, _, c_bh_d, c_bh_u = _kernels.rate_parts(kernel, *a)
+            if slack((c_d, c_u, c_bh_d, c_bh_u), a) < _REPAIR_MARGIN:
+                hi = mid
+            else:
+                lo = mid
+        a[i] = lo * base
+    return PowerAllocation(*a)
 
 
 # -- public entry points -------------------------------------------------

@@ -14,9 +14,9 @@ from dataclasses import dataclass, field, fields, replace
 from importlib import resources
 from pathlib import Path
 
-from .model import (CONFIG_KEYS, ConfigError, Scheme, load_params_db,
-                    parse_config_text, params_from_db, require_integer,
-                    validate)
+from .model import (CONFIG_KEYS, COUNT_KEYS, ConfigError, Scheme,
+                    load_params_db, parse_config_text, params_from_db,
+                    require_integer, validate)
 from .optimizer import OptimizerOptions, baseline, optimize
 from .rates import rates
 
@@ -47,7 +47,8 @@ class SweepSpec:
             raise ConfigError(f"unknown sweep kind {self.kind!r}")
         if not self.axis:
             raise ConfigError("sweep axis must be non-empty")
-        if self.kind in ("intra_cell_pairs", "backhaul_streams"):
+        if self.kind in ("intra_cell_pairs", "backhaul_streams") or (
+                self.kind == "custom_grid" and self.axis_param in COUNT_KEYS):
             self.axis = [require_integer("axis", v) for v in self.axis]
         if any(b <= a for a, b in zip(self.axis, self.axis[1:])):
             raise ConfigError("sweep axis must be strictly increasing")

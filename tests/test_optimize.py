@@ -19,7 +19,7 @@ from scipy.optimize import minimize
 import scipy.optimize._slsqplib
 
 from selfbackhaul import _kernels
-from selfbackhaul.feasibility import ConstraintReport, constraints, slack_rows
+from selfbackhaul.feasibility import ConstraintReport, constraints
 from selfbackhaul.model import PowerAllocation, Scheme, links, params_from_db
 from selfbackhaul.optimizer import (OptimizerOptions, _Problem, baseline,
                                    optimize, repair_start)
@@ -426,30 +426,6 @@ def test_cli_and_optimize_load_neither_scipy_optimize_nor_the_pool():
     assert done.stdout.strip() == "[]"
 
 
-@pytest.mark.parametrize("scheme", list(Scheme))
-@pytest.mark.parametrize("cell", [{}, {"k_d2d": 1}, {"k_an": 1}],
-                         ids=["reference", "direct-pair", "relayed-pair"])
-def test_repair_row_equals_report_value(scheme, cell):
-    params = make_params(si_cancellation_db=70, **cell)
-    problem = _Problem(scheme, params)
-    labels = ("bh_dl", "bh_ul", "rho_lo", "rho_hi")
-    rows = {label: optimizer_mod._row_violation(problem.kernel, slack)
-            for label, slack in slack_rows(scheme, params)
-            if label in labels}
-    violated = set()
-    for index in range(50):
-        alloc = optimizer_mod._draw_start(
-            problem, np.random.default_rng([9, index]))
-        report = constraints(scheme, params, alloc)
-        for label in labels:
-            assert (rows[label](alloc.as_tuple())
-                    == report.value(label)), label
-            if report.value(label) > report.tol:
-                violated.add(label)
-    # the draws exercise the rows repair shrinks, not only satisfied ones
-    assert violated
-
-
 def _replace_bisection(shrinks):
     """The bisection on `PowerAllocation` objects that repair ran before it
     bisected a tuple: each trial is built by `dataclasses.replace` and
@@ -496,9 +472,11 @@ def _one_pass_repair(scheme, params, raw, tol, shrinks):
     return alloc, caps
 
 
-@pytest.mark.parametrize("scheme", list(Scheme))
-def test_repair_is_one_pass_over_the_clipped_start(scheme, reference_params):
-    problem = _Problem(scheme, reference_params)
+def _check_repair_against_oracle(scheme, params):
+    """`repair_start` on 50 drawn starts, every other one pushed outside
+    the boxes, equals `_one_pass_repair`, which decides each row and each
+    bisection step on `constraints()` report values."""
+    problem = _Problem(scheme, params)
     shrinks = []
     for index in range(50):
         raw = optimizer_mod._draw_start(
@@ -508,15 +486,41 @@ def test_repair_is_one_pass_over_the_clipped_start(scheme, reference_params):
             raw = replace(raw, p_d=10 * raw.p_d, p_u=10 * raw.p_u,
                           p_bh_d=10 * raw.p_bh_d, p_bh_u=10 * raw.p_bh_u,
                           eta=2 * raw.eta - 0.5)
-        alloc = repair_start(scheme, reference_params, raw)
-        expected, caps = _one_pass_repair(scheme, reference_params, raw,
-                                          1e-6, shrinks)
+        alloc = repair_start(scheme, params, raw)
+        expected, caps = _one_pass_repair(scheme, params, raw, 1e-6, shrinks)
         assert alloc == expected
         alloc.check()
         for name, cap in caps.items():
             assert getattr(alloc, name) <= min(getattr(raw, name), cap), name
     # the starts exercise the bisection on both powers repair shrinks
     assert set(shrinks) == {"p_d", "p_u"}
+
+
+@pytest.mark.parametrize("scheme", list(Scheme))
+def test_repair_is_one_pass_over_the_clipped_start(scheme, reference_params):
+    _check_repair_against_oracle(scheme, reference_params)
+
+
+@pytest.mark.parametrize("scheme", list(Scheme))
+@pytest.mark.parametrize("cell", [{}, {"k_d2d": 1}, {"k_an": 1}],
+                         ids=["reference", "direct-pair", "relayed-pair"])
+def test_repair_row_equals_report_value(scheme, cell):
+    # the oracle's rows are report values, so an equal result means each
+    # row repair evaluates equals the report's value at every decision
+    _check_repair_against_oracle(
+        scheme, make_params(si_cancellation_db=70, **cell))
+
+
+@pytest.mark.parametrize("name,value", [
+    *((name, value) for name in ("p_d", "p_u", "p_bh_d", "p_bh_u", "p_u_d2d")
+      for value in (-1e-3, math.nan)),
+    ("eta", math.nan)])
+def test_repair_rejects_a_negative_or_nan_entry(name, value,
+                                                reference_params):
+    # above-cap powers and an out-of-range eta are clipped instead
+    start = replace(PowerAllocation(1.0, 1.0, 1.0, 1.0), **{name: value})
+    with pytest.raises(ValueError, match=rf"^{name} must .*, got {value}$"):
+        repair_start(Scheme.HALF_DUPLEX, reference_params, start)
 
 
 def test_reports_carry_plain_python_types(reference_params, monkeypatch):

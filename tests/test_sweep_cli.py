@@ -446,18 +446,23 @@ def test_cli_sweep_rejects_bad_axis_values(tmp_path, kind, axis, shown,
     assert not out.exists()
 
 
+# a custom grid over a count key is a count axis too
+_COUNT_AXIS_PARAM = {"custom_grid": "axis_param = n_t\n"}
+
+
 @pytest.mark.parametrize("kind,axis,shown", [
     ("backhaul_streams", "2.5", "2.5"),
     ("backhaul_streams", "1.5,2.5", "1.5"),
     ("intra_cell_pairs", "0:3:0.5", "0.5"),
+    ("custom_grid", "40.5,60", "40.5"),
 ])
 def test_cli_sweep_rejects_fractional_counts_on_the_axis(tmp_path, kind, axis,
                                                          shown, capsys):
     base = _write_reference_config(tmp_path)
     spec_file = tmp_path / "sweep.cfg"
     spec_file.write_text(
-        f"kind = {kind}\naxis = {axis}\nparams = {base}\nschemes = hd\n",
-        encoding="utf-8")
+        f"kind = {kind}\naxis = {axis}\nparams = {base}\nschemes = hd\n"
+        + _COUNT_AXIS_PARAM.get(kind, ""), encoding="utf-8")
     out = tmp_path / "rows.csv"
     code = cli.main(["sweep", "--spec", str(spec_file), "--out", str(out)])
     assert code == 1
@@ -469,13 +474,14 @@ def test_cli_sweep_rejects_fractional_counts_on_the_axis(tmp_path, kind, axis,
 @pytest.mark.parametrize("kind,axis,expected", [
     ("backhaul_streams", "1.0,2,3e0", [1, 2, 3]),
     ("intra_cell_pairs", "0:4:2", [0, 2, 4]),
+    ("custom_grid", "40.0,60", [40, 60]),
 ])
 def test_whole_number_axis_values_become_counts(tmp_path, kind, axis,
                                                 expected):
     base = _write_reference_config(tmp_path)
     spec_file = tmp_path / "sweep.cfg"
-    spec_file.write_text(f"kind = {kind}\naxis = {axis}\nparams = {base}\n",
-                         encoding="utf-8")
+    spec_file.write_text(f"kind = {kind}\naxis = {axis}\nparams = {base}\n"
+                         + _COUNT_AXIS_PARAM.get(kind, ""), encoding="utf-8")
     values = load_sweep_spec(spec_file).axis
     assert values == expected and all(type(v) is int for v in values)
 
