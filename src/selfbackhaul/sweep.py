@@ -60,6 +60,9 @@ class SweepSpec:
             if self.axis_param not in CONFIG_KEYS:
                 raise ConfigError(
                     f"custom_grid needs axis_param from {CONFIG_KEYS}")
+        elif self.axis_param is not None:
+            raise ConfigError(
+                f"axis_param applies to custom_grid only, not {self.kind!r}")
         if self.kind == "intra_cell_pairs":
             cap = min(require_integer(key, self.base_db[key])
                       for key in ("d", "u"))

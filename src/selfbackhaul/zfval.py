@@ -21,9 +21,11 @@ condition number above ``_COND_LIMIT``.  ``W`` is the unit-variance Wishart
 draw, so the rule does not depend on how far apart the path gains are: a
 stack mixing UE rows at 1e-8 with the AN's own receive rows at 1 is judged
 like one at unit gains.  The three batched checks (column norms, Wishart
-trace, empirical SINRs) share one chunk loop, ``_screened_chunks``: it
-draws each chunk, forms its Gram matrices and inverses once in
-``_inverse_diagonals``, a block of draws at a time, drops the
+trace, empirical SINRs) share one chunk loop, ``_screened_chunks``:
+`_complex_rows` draws each chunk of ``_CHUNK`` draws a block of ``_BLOCK``
+at a time, and `_inverse_diagonals` forms each block's Gram matrices and
+inverses once as it arrives, so only the chunk's scaled real half (50 MiB
+for 80 x 160 draws) and one block stay resident.  The loop drops the
 ill-conditioned draws and, once the draws are done, fails the check if
 more than 1% were rejected; so does the per-draw exactness check.
 `_inverse_diagonals` certifies most draws from a norm bound instead of an
@@ -41,7 +43,7 @@ from .model import PowerAllocation, Scheme, SystemParams
 from .rates import sinr_set
 
 _CHUNK = 512
-_BLOCK = 32     # draws per Gram product and inverse: bounds the temporaries
+_BLOCK = 32     # draws per block drawn and screened: bounds the temporaries
 _COND_LIMIT = 1e10
 _REJECT_FRACTION_LIMIT = 0.01
 
@@ -74,17 +76,21 @@ class CheckResult:
 
 
 def _complex_rows(rng, count, m, n, gains):
-    """(count, m, n) draws with row k variance gains[k].
+    """Yield (count, m, n) draws with row k variance gains[k], ``_BLOCK``
+    draws at a time.
 
-    The real block is drawn first, then the imaginary one, and each is
-    scaled straight into its half of the result: the same values as
-    ``(a + 1j * b) * scale`` without the complex temporaries.
+    The stream gives every real part before any imaginary part: the real
+    half is drawn and scaled first, and each block is completed as its
+    imaginary parts are drawn.  The values, and the generator's end state,
+    are those of ``(a + 1j * b) * scale`` over the whole chunk.
     """
     scale = np.sqrt(np.asarray(gains, dtype=float) / 2.0)[None, :, None]
-    z = np.empty((count, m, n), dtype=complex)
-    np.multiply(rng.standard_normal((count, m, n)), scale, out=z.real)
-    np.multiply(rng.standard_normal((count, m, n)), scale, out=z.imag)
-    return z
+    real = rng.standard_normal((count, m, n))
+    real *= scale
+    for start in range(0, count, _BLOCK):
+        z = real[start:start + _BLOCK].astype(complex)
+        np.multiply(rng.standard_normal(z.shape), scale, out=z.imag)
+        yield z
 
 
 def _well_conditioned(gram, gains):
@@ -99,22 +105,9 @@ def _well_conditioned(gram, gains):
 
 
 def _inverse_diagonals(h, gains):
-    """(ok, real diagonals of (HH^H)^-1 of the ok draws) for one chunk.
-
-    ``ok`` is ``_well_conditioned`` of each draw.  The chunk goes through
-    `_block_inverse_diagonals` ``_BLOCK`` draws at a time, so the
-    conjugate, Gram, inverse and bound temporaries stay a block's size
-    rather than the chunk's.
-    """
-    blocks = [_block_inverse_diagonals(h[start:start + _BLOCK], gains)
-              for start in range(0, len(h), _BLOCK)]
-    return (np.concatenate([ok for ok, _ in blocks]),
-            np.concatenate([diag for _, diag in blocks]))
-
-
-def _block_inverse_diagonals(h, gains):
-    """`_inverse_diagonals` of one block of draws, reached mostly without
-    eigenvalues.
+    """(ok, real diagonals of (HH^H)^-1 of the ok draws) for one block of
+    draws, where ``ok`` is ``_well_conditioned`` of each draw, reached
+    mostly without eigenvalues.
 
     The whole block is inverted at once; LAPACK inverts each matrix of a
     stack on its own, so every diagonal equals that of the draw inverted
@@ -147,14 +140,16 @@ def _block_inverse_diagonals(h, gains):
 
 def _screened_chunks(rng, trials, m, n, gains):
     """Draw ``trials`` (m, n) channels in chunks of ``_CHUNK`` and yield,
-    per chunk, the inverse diagonals of its well-conditioned draws (see
-    `_inverse_diagonals`); once the draws are done, raise if more than
-    ``_REJECT_FRACTION_LIMIT`` of them were rejected."""
+    per chunk, the inverse diagonals of its well-conditioned draws, each
+    block screened by `_inverse_diagonals` as it is drawn; once the draws
+    are done, raise if more than ``_REJECT_FRACTION_LIMIT`` of them were
+    rejected."""
     rejected = 0
     for done in range(0, trials, _CHUNK):
         count = min(_CHUNK, trials - done)
-        ok, inv_diag = _inverse_diagonals(
-            _complex_rows(rng, count, m, n, gains), gains)
+        inv_diag = np.concatenate(
+            [_inverse_diagonals(h, gains)[1]
+             for h in _complex_rows(rng, count, m, n, gains)])
         rejected += count - len(inv_diag)
         yield inv_diag
     _check_rejections(rejected, trials)
@@ -166,7 +161,7 @@ def draw_channel(n_t: int, n_r: int, m_t: int, gains, seed: int) -> ChannelDraw:
         raise ValueError("dimensions must be positive")
     gains = _checked_gains(gains, m_t + n_r)
     rng = np.random.default_rng(seed)
-    stacked = _complex_rows(rng, 1, m_t + n_r, n_t, gains)[0]
+    stacked = next(_complex_rows(rng, 1, m_t + n_r, n_t, gains))[0]
     return ChannelDraw(h_t=stacked[:m_t], h_s=stacked[m_t:], gains=gains)
 
 

@@ -37,6 +37,11 @@ def test_spec_validation():
         small_spec(kind="backhaul_streams", axis=[2.5]).check()
     with pytest.raises(ConfigError, match="axis_param"):
         small_spec(kind="custom_grid").check()
+    # an axis_param would be ignored by every other kind
+    with pytest.raises(ConfigError,
+                       match="axis_param applies to custom_grid only, "
+                             "not 'si_cancellation'"):
+        small_spec(axis_param="n_t").check()
     with pytest.raises(ValueError, match="rng_seed"):
         small_spec(options=OptimizerOptions(rng_seed=-3)).check()
 
@@ -187,6 +192,20 @@ def test_spec_file_overrides_and_errors(tmp_path):
     with pytest.raises(ConfigError, match="banana"):
         load_sweep_spec(bad)
 
+
+@pytest.mark.parametrize("kind,axis", [("si_cancellation", "100,110"),
+                                       ("intra_cell_pairs", "0,1"),
+                                       ("backhaul_streams", "1,2")])
+def test_spec_file_rejects_axis_param_outside_custom_grid(tmp_path, kind,
+                                                          axis):
+    base = _write_reference_config(tmp_path)
+    spec_file = tmp_path / "sweep.cfg"
+    spec_file.write_text(f"kind = {kind}\naxis = {axis}\nparams = {base}\n"
+                         "axis_param = n_t\n", encoding="utf-8")
+    with pytest.raises(ConfigError,
+                       match=f"axis_param applies to custom_grid only, "
+                             f"not '{kind}'"):
+        load_sweep_spec(spec_file)
 
 
 @pytest.mark.parametrize("axis,expected", [

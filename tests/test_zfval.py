@@ -1,5 +1,7 @@
 """Monte-Carlo validation machinery: draws, precoder, Wishart, SINRs."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -51,17 +53,36 @@ def test_gains_must_be_positive_and_finite(bad):
         zfval.column_norm_check(40, 4, 16, 10, seed=1, gains=gains)
 
 
-@pytest.mark.parametrize("shape", [(512, 20, 40), (512, 40, 80)],
-                         ids=["x1", "x2"])
+@pytest.mark.parametrize("shape", [(20, 40), (40, 80)], ids=["x1", "x2"])
 def test_complex_rows_equal_complex_expression(shape):
-    count, m, n = shape
+    m, n = shape
     gains = np.geomspace(1e-10, 1.0, m)
-    z = zfval._complex_rows(np.random.default_rng(8), count, m, n, gains)
-    rng = np.random.default_rng(8)
-    a = rng.standard_normal(shape)
-    b = rng.standard_normal(shape)
-    old = (a + 1j * b) * np.sqrt(gains / 2.0)[None, :, None]
-    assert np.array_equal(z.view(float), old.view(float))
+    for count in (512, 488, 33, 1):
+        rng = np.random.default_rng(8)
+        blocks = list(zfval._complex_rows(rng, count, m, n, gains))
+        assert [len(b) for b in blocks] == [
+            min(zfval._BLOCK, count - start)
+            for start in range(0, count, zfval._BLOCK)]
+        ref = np.random.default_rng(8)
+        a = ref.standard_normal((count, m, n))
+        b = ref.standard_normal((count, m, n))
+        old = (a + 1j * b) * np.sqrt(gains / 2.0)[None, :, None]
+        assert np.array_equal(np.concatenate(blocks).view(float),
+                              old.view(float))
+        # the stream goes on where the whole-array draws leave it
+        assert rng.standard_normal() == ref.standard_normal()
+
+
+def test_column_norm_check_keeps_one_block_beside_the_real_half():
+    # 80 rows x 160 antennas: a whole 512-draw complex chunk is 100 MiB
+    chunk_bytes = 512 * 80 * 160 * 16
+    tracemalloc.start()
+    try:
+        zfval.column_norm_check(160, 16, 64, 512, seed=5)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 0.75 * chunk_bytes
 
 
 def _eigenvalue_path(h, gains):
@@ -74,11 +95,35 @@ def _eigenvalue_path(h, gains):
 
 
 def _assert_same_as_eigenvalue_path(h, gains):
-    ok, diag = zfval._inverse_diagonals(h, gains)
-    ok_ref, diag_ref = _eigenvalue_path(h, gains)
-    assert np.array_equal(ok, ok_ref)
-    assert np.array_equal(diag, diag_ref)
-    return ok
+    """Screen ``h`` a block at a time, as the chunk loop does, against the
+    eigenvalue path on each block; returns the verdicts of all draws."""
+    oks = []
+    for start in range(0, len(h), zfval._BLOCK):
+        block = h[start:start + zfval._BLOCK]
+        ok, diag = zfval._inverse_diagonals(block, gains)
+        ok_ref, diag_ref = _eigenvalue_path(block, gains)
+        assert np.array_equal(ok, ok_ref)
+        assert np.array_equal(diag, diag_ref)
+        oks.append(ok)
+    return np.concatenate(oks)
+
+
+def _drawn(rng, count, m, n, gains):
+    """The blocks `zfval._complex_rows` yields, as one (count, m, n) stack."""
+    return np.concatenate(list(zfval._complex_rows(rng, count, m, n, gains)))
+
+
+def _plant(monkeypatch, plant):
+    """Make `zfval._complex_rows` call ``plant`` on each whole chunk of
+    draws before it yields the chunk's blocks."""
+    real = zfval._complex_rows
+
+    def planted(rng, count, m, n, gains):
+        h = np.concatenate(list(real(rng, count, m, n, gains)))
+        plant(h)
+        for start in range(0, count, zfval._BLOCK):
+            yield h[start:start + zfval._BLOCK]
+    monkeypatch.setattr(zfval, "_complex_rows", planted)
 
 
 def _spy_eigenvalue_rule(monkeypatch):
@@ -105,7 +150,7 @@ def test_inverse_diagonals_equal_eigenvalue_path_on_draws(rows, n, mixed,
     seen = _spy_eigenvalue_rule(monkeypatch)
     rng = np.random.default_rng(11)
     for _ in range(2):
-        h = zfval._complex_rows(rng, 512, rows, n, gains)
+        h = _drawn(rng, 512, rows, n, gains)
         assert _assert_same_as_eigenvalue_path(h, gains).all()
     assert seen == []   # every draw certified by the norm bound
 
@@ -141,7 +186,7 @@ def test_inverse_diagonals_equal_eigenvalue_path_near_the_limit(mixed,
 
 def test_inverse_diagonals_equal_eigenvalue_path_on_singular_chunk():
     gains = np.ones(20)
-    h = zfval._complex_rows(np.random.default_rng(6), 64, 20, 40, gains)
+    h = _drawn(np.random.default_rng(6), 64, 20, 40, gains)
     h[9, 1] = h[9, 0]
     gram = h @ h.conj().transpose(0, 2, 1)
     with pytest.raises(np.linalg.LinAlgError):
@@ -192,16 +237,13 @@ def test_wishart_trace_wide_case():
 
 
 def test_wishart_trace_screens_a_rank_deficient_draw(monkeypatch):
-    real = zfval._complex_rows
     chunks = []
 
-    def rank_deficient_first_draw(rng, count, m, n, gains):
-        h = real(rng, count, m, n, gains)
+    def rank_deficient_first_draw(h):
         if not chunks:
             h[0, 1] = h[0, 0]
         chunks.append(h.copy())
-        return h
-    monkeypatch.setattr(zfval, "_complex_rows", rank_deficient_first_draw)
+    _plant(monkeypatch, rank_deficient_first_draw)
     check = zfval.wishart_trace_check(40, 20, 1000, 3)
     # the mean of tr((HH^H)^-1) over the other 999 draws, by eigenvalues
     h = np.concatenate(chunks)[1:]
@@ -220,27 +262,18 @@ def test_wishart_trace_screens_a_rank_deficient_draw(monkeypatch):
         PowerAllocation(1000.0, 100.0, 500.0, 200.0), 1000, 3),
 ], ids=["wishart_trace", "column_norm", "empirical_sinr"])
 def test_checks_fail_past_one_percent_rejections(check, monkeypatch):
-    real = zfval._complex_rows
-
-    def every_fiftieth_draw_rank_deficient(rng, count, m, n, gains):
-        h = real(rng, count, m, n, gains)
+    def every_fiftieth_draw_rank_deficient(h):
         h[::50, 1] = h[::50, 0]
-        return h
-    monkeypatch.setattr(zfval, "_complex_rows",
-                        every_fiftieth_draw_rank_deficient)
+    _plant(monkeypatch, every_fiftieth_draw_rank_deficient)
     # 11 draws of the 512-draw chunk and 10 of the 488-draw one
     with pytest.raises(RuntimeError, match=r"rejected 21/1000 .*limit 1%"):
         check()
 
 
 def test_exactness_check_fails_past_one_percent_rejections(monkeypatch):
-    real = zfval._complex_rows
-
-    def rank_deficient(rng, count, m, n, gains):
-        h = real(rng, count, m, n, gains)
+    def rank_deficient(h):
         h[:, 1] = h[:, 0]
-        return h
-    monkeypatch.setattr(zfval, "_complex_rows", rank_deficient)
+    _plant(monkeypatch, rank_deficient)
     # each draw is its own one-draw chunk, so every draw is rejected
     with pytest.raises(RuntimeError, match=r"rejected 50/50 .*limit 1%"):
         zfval.exactness_check(40, 4, 16, 50, 1)
