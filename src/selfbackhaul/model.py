@@ -122,28 +122,21 @@ class PowerAllocation:
             raise ValueError(f"eta must lie in [0, 1], got {self.eta}")
 
 
-# Configuration keys (dB scale), in canonical file order.
+# Configuration keys, in canonical file order.  Each dB key names its
+# field and scale: +1 for a power in dBm, -1 for a loss of a linear gain.
 COUNT_KEYS = ("n_t", "n_r", "m_bh_t", "m_bh_r", "d", "u", "k_d2d", "k_an")
-_DB_KEYS = ("noise_dbm", "l_ue_db", "l_ud_db", "l_bh_db",
-            "p_an_dbm", "p_ue_dbm", "p_bh_dbm", "si_cancellation_db")
+_DB_SCALE = {
+    "noise_dbm": ("sigma_n2", 1),
+    "l_ue_db": ("l_ue", -1),
+    "l_ud_db": ("l_ud", -1),
+    "l_bh_db": ("l_bh", -1),
+    "p_an_dbm": ("p_an_max", 1),
+    "p_ue_dbm": ("p_ue_max", 1),
+    "p_bh_dbm": ("p_bh_d_max", 1),
+    "si_cancellation_db": ("alpha", -1),
+}
 _RATIO_KEYS = ("rho_min", "rho_max")
-CONFIG_KEYS = COUNT_KEYS + _DB_KEYS + _RATIO_KEYS
-
-
-def dbm_to_mw(dbm: float) -> float:
-    return 10.0 ** (dbm / 10.0)
-
-
-def mw_to_dbm(mw: float) -> float:
-    return 10.0 * math.log10(mw)
-
-
-def db_loss_to_gain(db: float) -> float:
-    return 10.0 ** (-db / 10.0)
-
-
-def gain_to_db_loss(gain: float) -> float:
-    return -10.0 * math.log10(gain)
+CONFIG_KEYS = COUNT_KEYS + tuple(_DB_SCALE) + _RATIO_KEYS
 
 
 def require_integer(key: str, value) -> int:
@@ -169,48 +162,33 @@ def params_from_db(raw: Mapping[str, float]) -> SystemParams:
     if missing:
         raise ConfigError(f"missing configuration keys: {', '.join(missing)}")
 
-    counts = {}
+    fields = {}
     for key in COUNT_KEYS:
         value = require_integer(key, raw[key])
         if value < 0:
             raise ConfigError(f"{key} must be >= 0, got {value}")
-        counts[key] = value
-
-    scalars = {}
-    for key in _DB_KEYS + _RATIO_KEYS:
-        value = float(raw[key])
+        fields[key] = value
+    for key in tuple(_DB_SCALE) + _RATIO_KEYS:
+        field, sign = _DB_SCALE.get(key, (key, 0))   # ratios verbatim
+        try:
+            value = float(raw[key])
+            fields[field] = 10.0 ** (sign * value / 10.0) if sign else value
+        except (TypeError, ValueError):
+            raise ConfigError(f"{key} must be a number, got {raw[key]!r}") from None
+        except OverflowError:
+            raise ConfigError(f"{key} is out of range, got {raw[key]!r}") from None
         if not math.isfinite(value):
             raise ConfigError(f"{key} must be finite, got {value}")
-        scalars[key] = value
-
-    return SystemParams(
-        sigma_n2=dbm_to_mw(scalars["noise_dbm"]),
-        l_ue=db_loss_to_gain(scalars["l_ue_db"]),
-        l_ud=db_loss_to_gain(scalars["l_ud_db"]),
-        l_bh=db_loss_to_gain(scalars["l_bh_db"]),
-        p_an_max=dbm_to_mw(scalars["p_an_dbm"]),
-        p_ue_max=dbm_to_mw(scalars["p_ue_dbm"]),
-        p_bh_d_max=dbm_to_mw(scalars["p_bh_dbm"]),
-        alpha=db_loss_to_gain(scalars["si_cancellation_db"]),
-        rho_min=scalars["rho_min"],
-        rho_max=scalars["rho_max"],
-        **counts,
-    )
+    return SystemParams(**fields)
 
 
 def params_to_db(params: SystemParams) -> dict:
     """Inverse of params_from_db (round-trips within float accuracy)."""
-    out = {key: getattr(params, key) for key in COUNT_KEYS}
-    out["noise_dbm"] = mw_to_dbm(params.sigma_n2)
-    out["l_ue_db"] = gain_to_db_loss(params.l_ue)
-    out["l_ud_db"] = gain_to_db_loss(params.l_ud)
-    out["l_bh_db"] = gain_to_db_loss(params.l_bh)
-    out["p_an_dbm"] = mw_to_dbm(params.p_an_max)
-    out["p_ue_dbm"] = mw_to_dbm(params.p_ue_max)
-    out["p_bh_dbm"] = mw_to_dbm(params.p_bh_d_max)
-    out["si_cancellation_db"] = gain_to_db_loss(params.alpha)
-    out["rho_min"] = params.rho_min
-    out["rho_max"] = params.rho_max
+    out = {}
+    for key in CONFIG_KEYS:
+        field, sign = _DB_SCALE.get(key, (key, 0))
+        value = getattr(params, field)
+        out[key] = sign * 10.0 * math.log10(value) if sign else value
     return out
 
 

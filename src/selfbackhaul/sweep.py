@@ -56,6 +56,9 @@ class SweepSpec:
             raise ConfigError(f"unknown routing {self.routing!r}")
         if not self.schemes:
             raise ConfigError("at least one scheme required")
+        for i, scheme in enumerate(self.schemes):
+            if scheme in self.schemes[:i]:
+                raise ConfigError(f"scheme {scheme.value!r} is listed twice")
         if self.kind == "custom_grid":
             if self.axis_param not in CONFIG_KEYS:
                 raise ConfigError(
@@ -257,6 +260,9 @@ def load_sweep_spec(path) -> SweepSpec:
         raise ConfigError(f"sweep base params incomplete, missing: {missing}")
 
     kind = str(raw["kind"])
+    if "routing" in raw and kind != "intra_cell_pairs":
+        raise ConfigError(
+            f"routing applies to intra_cell_pairs only, not {kind!r}")
     if "axis" in raw:
         axis = _parse_axis(raw["axis"])
     elif kind == "intra_cell_pairs":

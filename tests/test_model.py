@@ -1,7 +1,10 @@
 """Parameter construction, unit conversion and structural validation."""
 
+import math
+
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from selfbackhaul.model import (SLOTS, ConfigError, Scheme, StructuralError,
                                 links, load_params, params_from_db,
@@ -44,9 +47,16 @@ def test_missing_key_rejected(key, reference_db):
 
 
 def test_non_finite_value_rejected(reference_db):
-    reference_db["l_ue_db"] = float("nan")
-    with pytest.raises(ConfigError, match="l_ue_db"):
-        params_from_db(reference_db)
+    for key, value, message in [
+            ("l_ue_db", float("nan"), "l_ue_db must be finite, got nan"),
+            ("l_ue_db", "abc", "l_ue_db must be a number, got 'abc'"),
+            ("rho_min", "x", "rho_min must be a number, got 'x'"),
+            # linear values that overflow a float
+            ("p_an_dbm", 5000, "p_an_dbm is out of range, got 5000"),
+            ("l_ue_db", -5000, "l_ue_db is out of range, got -5000"),
+            ("noise_dbm", 10 ** 400, "noise_dbm is out of range, got 1000")]:
+        with pytest.raises(ConfigError, match=message):
+            params_from_db(dict(reference_db, **{key: value}))
 
 
 def test_negative_count_rejected(reference_db):
@@ -59,6 +69,31 @@ def test_fractional_count_rejected(reference_db):
     reference_db["n_t"] = 200.5
     with pytest.raises(ConfigError, match="n_t"):
         params_from_db(reference_db)
+
+
+# each dB key's field and sign, written out apart from the model's table:
+# +1 for a power in dBm, -1 for a loss of a linear gain
+_DB_FIELDS = {"noise_dbm": ("sigma_n2", 1), "l_ue_db": ("l_ue", -1),
+              "l_ud_db": ("l_ud", -1), "l_bh_db": ("l_bh", -1),
+              "p_an_dbm": ("p_an_max", 1), "p_ue_dbm": ("p_ue_max", 1),
+              "p_bh_dbm": ("p_bh_d_max", 1),
+              "si_cancellation_db": ("alpha", -1)}
+
+
+@settings(derandomize=True, deadline=None)
+@given(st.fixed_dictionaries({key: st.floats(-1000.0, 1000.0)
+                              for key in _DB_FIELDS}))
+def test_db_scale_bit_for_bit(values):
+    params = params_from_db({**REFERENCE_DB, **values})
+    back = params_to_db(params)
+    for key, (field, sign) in _DB_FIELDS.items():
+        linear = getattr(params, field)
+        if sign > 0:
+            assert linear == 10.0 ** (values[key] / 10.0), key
+            assert back[key] == 10.0 * math.log10(linear), key
+        else:
+            assert linear == 10.0 ** (-values[key] / 10.0), key
+            assert back[key] == -10.0 * math.log10(linear), key
 
 
 def test_db_round_trip(reference_db):

@@ -42,6 +42,10 @@ def test_spec_validation():
                        match="axis_param applies to custom_grid only, "
                              "not 'si_cancellation'"):
         small_spec(axis_param="n_t").check()
+    # a repeated scheme would write its rows twice
+    with pytest.raises(ConfigError, match="scheme 'hd' is listed twice"):
+        small_spec(schemes=[Scheme.HALF_DUPLEX, Scheme.FULL_DUPLEX,
+                            Scheme.HALF_DUPLEX]).check()
     with pytest.raises(ValueError, match="rng_seed"):
         small_spec(options=OptimizerOptions(rng_seed=-3)).check()
 
@@ -205,6 +209,35 @@ def test_spec_file_rejects_axis_param_outside_custom_grid(tmp_path, kind,
     with pytest.raises(ConfigError,
                        match=f"axis_param applies to custom_grid only, "
                              f"not '{kind}'"):
+        load_sweep_spec(spec_file)
+
+
+@pytest.mark.parametrize("kind,axis", [
+    ("si_cancellation", "100,110"), ("backhaul_streams", "1,2"),
+    ("custom_grid", "200,210\naxis_param = n_t")],
+    ids=["si_cancellation", "backhaul_streams", "custom_grid"])
+def test_spec_file_rejects_routing_outside_intra_cell_pairs(tmp_path, kind,
+                                                            axis):
+    base = _write_reference_config(tmp_path)
+    spec_file = tmp_path / "sweep.cfg"
+    spec_file.write_text(f"kind = {kind}\naxis = {axis}\nparams = {base}\n"
+                         "routing = d2d\n", encoding="utf-8")
+    with pytest.raises(ConfigError,
+                       match=f"routing applies to intra_cell_pairs only, "
+                             f"not '{kind}'"):
+        load_sweep_spec(spec_file)
+
+
+@pytest.mark.parametrize("schemes,repeated", [("hd,hd", "hd"),
+                                              ("fd,rl,FD", "fd")])
+def test_spec_file_rejects_a_repeated_scheme(tmp_path, schemes, repeated):
+    base = _write_reference_config(tmp_path)
+    spec_file = tmp_path / "sweep.cfg"
+    spec_file.write_text(f"kind = si_cancellation\naxis = 120\n"
+                         f"params = {base}\nschemes = {schemes}\n",
+                         encoding="utf-8")
+    with pytest.raises(ConfigError,
+                       match=f"scheme '{repeated}' is listed twice"):
         load_sweep_spec(spec_file)
 
 
@@ -516,6 +549,21 @@ def test_cli_optimize_rejects_non_integer_count(tmp_path, value, shown,
     assert code == 1
     assert (f"error: n_t must be an integer, got {shown}"
             in capsys.readouterr().err)
+
+
+@pytest.mark.parametrize("key,value,message", [
+    ("l_ue_db", "abc", "l_ue_db must be a number, got 'abc'"),
+    ("rho_min", "x", "rho_min must be a number, got 'x'"),
+    ("p_an_dbm", "5000", "p_an_dbm is out of range, got 5000"),
+], ids=["l_ue_db", "rho_min", "p_an_dbm"])
+def test_cli_optimize_names_a_bad_scalar(tmp_path, key, value, message,
+                                         capsys):
+    cfg = tmp_path / "cell.cfg"
+    cfg.write_text("\n".join(f"{k} = {v}" for k, v in dict(
+        REFERENCE_DB, **{key: value}).items()), encoding="utf-8")
+    code = cli.main(["optimize", "--scheme", "hd", "--config", str(cfg)])
+    assert code == 1
+    assert f"error: {message}" in capsys.readouterr().err
 
 
 def test_cli_validate_zf_rejects_negative_seed(capsys):
