@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import math
 import operator
+import sys
 from dataclasses import dataclass
 from enum import Enum
 from functools import lru_cache
@@ -167,6 +168,8 @@ def params_from_db(raw: Mapping[str, float]) -> SystemParams:
         value = require_integer(key, raw[key])
         if value < 0:
             raise ConfigError(f"{key} must be >= 0, got {value}")
+        if value > sys.float_info.max:   # the kernel's coefficients are floats
+            raise ConfigError(f"{key} is out of range, got {value}")
         fields[key] = value
     for key in tuple(_DB_SCALE) + _RATIO_KEYS:
         field, sign = _DB_SCALE.get(key, (key, 0))   # ratios verbatim
@@ -219,11 +222,11 @@ def _field_violations(p: SystemParams) -> list:
     if p.k_d2d + p.k_an > p.u:
         v.append(f"k_d2d + k_an > u ({p.k_d2d} + {p.k_an} > {p.u})")
 
-    for key in ("l_ue", "l_ud", "l_bh", "alpha"):
+    for key in [field for field, sign in _DB_SCALE.values() if sign < 0]:
         g = getattr(p, key)
         if not (0.0 < g <= 1.0) or not math.isfinite(g):
             v.append(f"{key} must be a linear gain in (0, 1], got {g}")
-    for key in ("sigma_n2", "p_an_max", "p_ue_max", "p_bh_d_max"):
+    for key in [field for field, sign in _DB_SCALE.values() if sign > 0]:
         val = getattr(p, key)
         if not (val > 0.0) or not math.isfinite(val):
             v.append(f"{key} must be > 0, got {val}")

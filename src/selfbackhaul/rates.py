@@ -47,23 +47,13 @@ def sinr_set(scheme: Scheme, params: SystemParams,
     return SinrSet(*_kernels.sinr_tuple(kernel, *alloc.as_tuple()[:5]))
 
 
-def rate_components(scheme: Scheme, params: SystemParams,
-                    alloc: PowerAllocation):
-    """Raw kernel components, validated.
-
-    Returns (c_d, c_u, c_d2d, relay_dl, relay_ul, c_bh_d, c_bh_u); see
-    `_kernels.rate_parts`.
-    """
-    kernel = require_valid(params, scheme).kernel
-    alloc.check()
-    return _kernels.rate_parts(kernel, *alloc.as_tuple())
-
-
 def rates(scheme: Scheme, params: SystemParams,
           alloc: PowerAllocation) -> RateBreakdown:
     """Full rate breakdown for one allocation."""
-    c_d, c_u, c_d2d, relay_dl, relay_ul, c_bh_d, c_bh_u = rate_components(
-        scheme, params, alloc)
+    kernel = require_valid(params, scheme).kernel
+    alloc.check()
+    c_d, c_u, c_d2d, relay_dl, relay_ul, c_bh_d, c_bh_u = (
+        _kernels.rate_parts(kernel, *alloc.as_tuple()))
     c_ic = c_d2d
     if params.k_an > 0:
         c_ic += params.k_an * min(relay_dl, relay_ul)

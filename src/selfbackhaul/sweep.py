@@ -66,6 +66,8 @@ class SweepSpec:
         elif self.axis_param is not None:
             raise ConfigError(
                 f"axis_param applies to custom_grid only, not {self.kind!r}")
+        for value in self.axis:   # a bad cell fails before any point runs
+            params_from_db(_point_db(self, value))
         if self.kind == "intra_cell_pairs":
             cap = min(require_integer(key, self.base_db[key])
                       for key in ("d", "u"))

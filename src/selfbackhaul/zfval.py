@@ -21,7 +21,8 @@ condition number above ``_COND_LIMIT``.  ``W`` is the unit-variance Wishart
 draw, so the rule does not depend on how far apart the path gains are: a
 stack mixing UE rows at 1e-8 with the AN's own receive rows at 1 is judged
 like one at unit gains.  The three batched checks (column norms, Wishart
-trace, empirical SINRs) share one chunk loop, ``_screened_chunks``:
+trace, empirical SINRs) share one chunk loop, ``_screened_sum``, and each
+states only its reduction of a chunk's inverse diagonals:
 `_complex_rows` draws each chunk of ``_CHUNK`` draws a block of ``_BLOCK``
 at a time, and `_inverse_diagonals` forms each block's Gram matrices and
 inverses once as it arrives, so only the chunk's scaled real half (50 MiB
@@ -138,21 +139,22 @@ def _inverse_diagonals(h, gains):
     return ok, diag[ok]
 
 
-def _screened_chunks(rng, trials, m, n, gains):
-    """Draw ``trials`` (m, n) channels in chunks of ``_CHUNK`` and yield,
-    per chunk, the inverse diagonals of its well-conditioned draws, each
-    block screened by `_inverse_diagonals` as it is drawn; once the draws
-    are done, raise if more than ``_REJECT_FRACTION_LIMIT`` of them were
-    rejected."""
-    rejected = 0
+def _screened_sum(rng, trials, m, n, gains, f):
+    """(sum over chunks of ``f(d)``, number of kept draws) for ``trials``
+    (m, n) channels drawn in chunks of ``_CHUNK``, where ``d`` holds the
+    inverse diagonals of a chunk's well-conditioned draws, each block
+    screened by `_inverse_diagonals` as it is drawn; raises if more than
+    ``_REJECT_FRACTION_LIMIT`` of the draws were rejected."""
+    total = 0.0
+    used = 0
     for done in range(0, trials, _CHUNK):
         count = min(_CHUNK, trials - done)
-        inv_diag = np.concatenate(
-            [_inverse_diagonals(h, gains)[1]
-             for h in _complex_rows(rng, count, m, n, gains)])
-        rejected += count - len(inv_diag)
-        yield inv_diag
-    _check_rejections(rejected, trials)
+        d = np.concatenate([_inverse_diagonals(h, gains)[1]
+                            for h in _complex_rows(rng, count, m, n, gains)])
+        total += f(d)
+        used += len(d)
+    _check_rejections(trials - used, trials)
+    return total, used
 
 
 def draw_channel(n_t: int, n_r: int, m_t: int, gains, seed: int) -> ChannelDraw:
@@ -208,12 +210,8 @@ def wishart_trace_check(n_t: int, m: int, trials: int, seed: int) -> CheckResult
     if n_t <= m + 1:
         raise ValueError("need n_t > m + 1")
     _check_trials(trials)
-    rng = np.random.default_rng(seed)
-    total = 0.0
-    used = 0
-    for inv_diag in _screened_chunks(rng, trials, m, n_t, np.ones(m)):
-        total += float(np.sum(inv_diag))
-        used += len(inv_diag)
+    total, used = _screened_sum(np.random.default_rng(seed), trials, m, n_t,
+                                np.ones(m), lambda d: float(np.sum(d)))
     empirical = total / used
     closed = wishart_trace_closed_form(n_t, m)
     return CheckResult("wishart_trace", empirical, closed,
@@ -230,15 +228,12 @@ def column_norm_check(n_t: int, m_t: int, n_r: int, trials: int, seed: int,
         raise ValueError("not enough antennas to zero-force this stack")
     _check_trials(trials)
 
-    rng = np.random.default_rng(seed)
-    total = 0.0
-    used = 0
-    for inv_diag in _screened_chunks(rng, trials, rows, n_t, gains):
-        # ||w_k||^2 = lam_k^2 {(HH^H)^-1}_kk with lam_k^2 = L_k * dof
-        norms = inv_diag[:, :m_t] * (gains[:m_t] * dof)[None, :]
-        total += float(np.sum(norms))
-        used += len(inv_diag) * m_t
-    empirical = total / used
+    # ||w_k||^2 = lam_k^2 {(HH^H)^-1}_kk with lam_k^2 = L_k * dof
+    lam2 = gains[:m_t] * dof
+    total, used = _screened_sum(np.random.default_rng(seed), trials, rows,
+                                n_t, gains,
+                                lambda d: float(np.sum(d[:, :m_t] * lam2)))
+    empirical = total / (used * m_t)
     return CheckResult("precoder_column_norm", empirical, 1.0,
                        abs(empirical - 1.0))
 
@@ -357,40 +352,6 @@ def _link_stacks(scheme: Scheme, params: SystemParams,
     ]
 
 
-def _stack_signal_means(stack: _Stack, trials: int, rng):
-    """Mean received signal power per group for one ZF stack.
-
-    Per draw the precoder columns are renormalized to unit norm so each
-    stream radiates exactly its allocated power; the received signal power
-    of stream k is then p_k / {(HH^H)^-1}_kk.
-    """
-    gains = []
-    for group in stack.groups:
-        gains.extend([group.gain] * group.count)
-    m_data = len(gains)
-    for count, gain in stack.null_rows:
-        gains.extend([gain] * count)
-    gains = np.asarray(gains, dtype=float)
-    m_tot = gains.size
-    if m_tot >= stack.n:
-        raise ValueError("stack has no zero-forcing degrees of freedom")
-
-    sums = np.zeros(m_data)
-    used = 0
-    for inv_diag in _screened_chunks(rng, trials, m_tot, stack.n, gains):
-        sums += np.sum(1.0 / inv_diag[:, :m_data], axis=0)
-        used += len(inv_diag)
-
-    means = {}
-    offset = 0
-    for group in stack.groups:
-        block = sums[offset:offset + group.count]
-        means[group.label] = (group.p_stream * float(np.mean(block)) / used
-                              if group.count else 0.0)
-        offset += group.count
-    return means
-
-
 def _check_trials(trials: int):
     if trials < 1:
         raise ValueError(f"need at least 1 trial, got {trials}")
@@ -435,14 +396,29 @@ def empirical_sinr_check(params: SystemParams, scheme: Scheme,
         stream_groups = [g for g in stack.groups if g.count > 0]
         if not stream_groups:
             continue
-        means = _stack_signal_means(stack, trials, rng)
+        counts, row_gains = zip(*[(g.count, g.gain) for g in stream_groups],
+                                *stack.null_rows)
+        gains = np.repeat(np.asarray(row_gains, dtype=float), counts)
+        if gains.size >= stack.n:
+            raise ValueError("stack has no zero-forcing degrees of freedom")
+        # Per draw the precoder columns are renormalized to unit norm, so
+        # each stream radiates exactly its allocated power; the received
+        # signal power of stream k is then p_k / {(HH^H)^-1}_kk.
+        m_data = sum(g.count for g in stream_groups)
+        sums, used = _screened_sum(
+            rng, trials, gains.size, stack.n, gains,
+            lambda d: np.sum(1.0 / d[:, :m_data], axis=0))
+        offset = 0
         for group in stream_groups:
             cf = closed_map[group.label]
+            block = sums[offset:offset + group.count]
+            offset += group.count
             if group.p_stream <= 0.0 or cf <= 0.0:
                 results.append(CheckResult(group.label, 0.0, cf,
                                            0.0 if cf == 0.0 else 1.0))
                 continue
-            empirical = means[group.label] / group.denom
+            empirical = (group.p_stream * float(np.mean(block)) / used
+                         / group.denom)
             results.append(CheckResult(group.label, empirical, cf,
                                        abs(empirical - cf) / cf))
     return results

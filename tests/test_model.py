@@ -1,6 +1,7 @@
 """Parameter construction, unit conversion and structural validation."""
 
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -54,7 +55,9 @@ def test_non_finite_value_rejected(reference_db):
             # linear values that overflow a float
             ("p_an_dbm", 5000, "p_an_dbm is out of range, got 5000"),
             ("l_ue_db", -5000, "l_ue_db is out of range, got -5000"),
-            ("noise_dbm", 10 ** 400, "noise_dbm is out of range, got 1000")]:
+            ("noise_dbm", 10 ** 400, "noise_dbm is out of range, got 1000"),
+            # a count the kernel's float coefficients cannot hold
+            ("n_t", 10 ** 400, "n_t is out of range, got 1000")]:
         with pytest.raises(ConfigError, match=message):
             params_from_db(dict(reference_db, **{key: value}))
 
@@ -156,6 +159,24 @@ def test_require_valid_returns_the_links_record(scheme, reference_params):
     with pytest.raises(StructuralError) as raised:
         require_valid(bad, scheme)
     assert raised.value.violations == validate(bad, scheme)
+
+
+def test_field_violations_in_report_order(reference_params):
+    bad = replace(reference_params, n_t=0, k_an=-1, l_ue=2.0, l_ud=0.0,
+                  l_bh=math.nan, alpha=1.5, sigma_n2=0.0, p_an_max=0.0,
+                  p_ue_max=-1.0, p_bh_d_max=math.inf)
+    assert [v for v in validate(bad, Scheme.HALF_DUPLEX)
+            if "DoF" not in v] == [
+        "n_t must be >= 1, got 0",
+        "k_an must be >= 0, got -1",
+        "l_ue must be a linear gain in (0, 1], got 2.0",
+        "l_ud must be a linear gain in (0, 1], got 0.0",
+        "l_bh must be a linear gain in (0, 1], got nan",
+        "alpha must be a linear gain in (0, 1], got 1.5",
+        "sigma_n2 must be > 0, got 0.0",
+        "p_an_max must be > 0, got 0.0",
+        "p_ue_max must be > 0, got -1.0",
+        "p_bh_d_max must be > 0, got inf"]
 
 
 def test_gain_bounds_checked():

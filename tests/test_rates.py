@@ -18,7 +18,7 @@ from selfbackhaul import _kernels
 from selfbackhaul.model import (ALWAYS, ETA, ONE_MINUS_ETA, SLOTS,
                                 PowerAllocation, Scheme, StructuralError,
                                 _overlap, links, validate)
-from selfbackhaul.rates import SinrSet, rate_components, rates, sinr_set
+from selfbackhaul.rates import SinrSet, rates, sinr_set
 
 from conftest import make_params
 
@@ -176,8 +176,8 @@ def test_random_points_well_formed():
 def test_relay_min_term():
     params = make_params(k_an=2)
     a = alloc(p_d=500.0, p_u=1.0, p_bh_d=100.0, p_bh_u=10.0, eta=0.7)
-    c_d, c_u, c_d2d, relay_dl, relay_ul, _, _ = rate_components(
-        Scheme.HALF_DUPLEX, params, a)
+    c_d, c_u, c_d2d, relay_dl, relay_ul, _, _ = _kernels.rate_parts(
+        links(Scheme.HALF_DUPLEX, params).kernel, *a.as_tuple())
     rb = rates(Scheme.HALF_DUPLEX, params, a)
     assert c_d2d == 0.0
     assert rb.c_ic == pytest.approx(2 * min(relay_dl, relay_ul), rel=1e-14)
@@ -318,7 +318,8 @@ def test_kernel_equals_per_scheme_closed_forms(scheme):
             a = _random_alloc(rng, params)
             assert sinr_set(scheme, params, a) == SinrSet(
                 *_oracle_sinrs(scheme, params, a))
-            parts = rate_components(scheme, params, a)
+            parts = _kernels.rate_parts(links(scheme, params).kernel,
+                                        *a.as_tuple())
             assert parts == _oracle_parts(scheme, params, a)
     assert all(count > 0 for count in seen.values()), seen
 

@@ -1,10 +1,11 @@
 """Sweep harness, CSV contract and the command-line interface."""
 
 import math
+import re
 
 import pytest
 
-from selfbackhaul import cli
+from selfbackhaul import cli, sweep
 from selfbackhaul.model import ConfigError, Scheme, params_from_db
 from selfbackhaul.optimizer import OptimizerOptions, optimize
 from selfbackhaul.rates import rates
@@ -28,10 +29,19 @@ def small_spec(**kwargs):
 def test_spec_validation():
     with pytest.raises(ConfigError, match="kind"):
         small_spec(kind="nope").check()
+    with pytest.raises(ConfigError, match="axis must be non-empty"):
+        small_spec(axis=[]).check()
+    with pytest.raises(ConfigError, match="unknown routing 'relay'"):
+        small_spec(routing="relay").check()
+    with pytest.raises(ConfigError, match="at least one scheme"):
+        small_spec(schemes=[]).check()
     with pytest.raises(ConfigError, match="increasing"):
         small_spec(axis=[80.0, 80.0]).check()
     with pytest.raises(ConfigError, match="min"):
         small_spec(kind="intra_cell_pairs", axis=[0, 11]).check()
+    with pytest.raises(ConfigError, match="missing configuration keys: n_r"):
+        small_spec(kind="intra_cell_pairs", axis=[0, 1],
+                   base_db={"n_t": 200}).check()
     # a spec built in code gets the whole-number rule a spec file gets
     with pytest.raises(ConfigError, match="axis must be an integer, got 2.5"):
         small_spec(kind="backhaul_streams", axis=[2.5]).check()
@@ -241,6 +251,57 @@ def test_spec_file_rejects_a_repeated_scheme(tmp_path, schemes, repeated):
         load_sweep_spec(spec_file)
 
 
+@pytest.mark.parametrize("text,message", [
+    ("axis = 100,110", "sweep spec needs a 'kind'"),
+    ("kind = si_cancellation\nn_t = 200",
+     "sweep base params incomplete, missing: ['n_r'"),
+    ("kind = backhaul_streams\nparams = cell.cfg",
+     "sweep spec needs an 'axis'"),
+    ("kind = si_cancellation\nparams = cell.cfg\naxis = 1:2:3:4",
+     "bad axis range '1:2:3:4'"),
+    ("kind = si_cancellation\nparams = cell.cfg\naxis = 100:110:0",
+     "axis step must be > 0"),
+    ("kind = si_cancellation\nparams = cell.cfg\naxis = 110:100:-5",
+     "axis step must be > 0"),
+], ids=["no_kind", "incomplete_params", "no_axis", "four_part_range",
+        "zero_step", "negative_step"])
+def test_spec_file_errors(tmp_path, text, message):
+    _write_reference_config(tmp_path)
+    spec_file = tmp_path / "sweep.cfg"
+    spec_file.write_text(text + "\n", encoding="utf-8")
+    with pytest.raises(ConfigError, match=re.escape(message)):
+        load_sweep_spec(spec_file)
+
+
+@pytest.mark.parametrize("axis_param,axis,message", [
+    ("p_an_dbm", "30,5000", "p_an_dbm is out of range, got 5000.0"),
+    ("k_an", "-1,0", "k_an must be >= 0, got -1"),
+], ids=["p_an_dbm", "k_an"])
+def test_bad_grid_cell_fails_before_any_point_runs(tmp_path, monkeypatch,
+                                                   capsys, axis_param, axis,
+                                                   message):
+    def no_point_may_run(*args, **kwargs):
+        raise AssertionError("a grid point was optimized")
+    monkeypatch.setattr(sweep, "optimize", no_point_may_run)
+    base = _write_reference_config(tmp_path)
+    spec_file = tmp_path / "sweep.cfg"
+    spec_file.write_text(
+        f"kind = custom_grid\naxis_param = {axis_param}\naxis = {axis}\n"
+        f"params = {base}\nschemes = hd\n", encoding="utf-8")
+    with pytest.raises(ConfigError, match=message):
+        load_sweep_spec(spec_file)
+    out = tmp_path / "rows.csv"
+    assert cli.main(["sweep", "--spec", str(spec_file),
+                     "--out", str(out)]) == 1
+    assert f"error: {message}" in capsys.readouterr().err
+    assert not out.exists()
+    # a spec built in code is checked the same way by run_sweep
+    values = [float(v) for v in axis.split(",")]
+    with pytest.raises(ConfigError, match=message):
+        run_sweep(small_spec(kind="custom_grid", axis_param=axis_param,
+                             axis=values))
+
+
 @pytest.mark.parametrize("axis,expected", [
     ("0:1:0.6", [0.0, 0.6]),
     ("60:140:3", [60.0 + 3 * i for i in range(27)]),
@@ -372,6 +433,15 @@ def test_cli_sweep_writes_csv(tmp_path, capsys):
     assert code == 0
     lines = out.read_text(encoding="utf-8").splitlines()
     assert lines[0] == CSV_HEADER and len(lines) == 5
+
+
+def test_cli_sweep_runs_a_preset_by_name(tmp_path, capsys):
+    out = tmp_path / "fig6b.csv"
+    assert cli.main(["sweep", "--spec", "fig6b", "--out", str(out)]) == 0
+    lines = out.read_text(encoding="utf-8").splitlines()
+    # 12 backhaul stream counts, relay scheme only, no baselines
+    assert lines[0] == CSV_HEADER and len(lines) == 13
+    assert f"wrote 12 rows to {out}" in capsys.readouterr().out
 
 
 def test_cli_validate_zf(tmp_path, capsys):
@@ -555,7 +625,8 @@ def test_cli_optimize_rejects_non_integer_count(tmp_path, value, shown,
     ("l_ue_db", "abc", "l_ue_db must be a number, got 'abc'"),
     ("rho_min", "x", "rho_min must be a number, got 'x'"),
     ("p_an_dbm", "5000", "p_an_dbm is out of range, got 5000"),
-], ids=["l_ue_db", "rho_min", "p_an_dbm"])
+    ("n_t", "1" + "0" * 400, "n_t is out of range, got 1000"),
+], ids=["l_ue_db", "rho_min", "p_an_dbm", "n_t"])
 def test_cli_optimize_names_a_bad_scalar(tmp_path, key, value, message,
                                          capsys):
     cfg = tmp_path / "cell.cfg"

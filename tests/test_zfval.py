@@ -29,6 +29,13 @@ def test_draw_shapes_and_gain_scaling():
     assert np.mean(np.abs(draw.h_s) ** 2) == pytest.approx(1e-8, rel=0.05)
 
 
+@pytest.mark.parametrize("n_t,n_r,m_t", [(0, 16, 4), (40, -1, 4),
+                                          (40, 16, 0)])
+def test_draw_channel_needs_positive_dimensions(n_t, n_r, m_t):
+    with pytest.raises(ValueError, match="dimensions must be positive"):
+        zfval.draw_channel(n_t, n_r, m_t, np.ones(20), seed=1)
+
+
 def test_draw_gain_length_mismatch():
     with pytest.raises(ValueError, match="gains"):
         zfval.draw_channel(40, 16, 4, np.ones(19), seed=1)
@@ -222,6 +229,8 @@ def test_precoder_requires_antenna_margin():
     draw = zfval.draw_channel(20, 16, 4, np.ones(20), seed=2)
     with pytest.raises(ValueError, match="antennas"):
         zfval.zf_precoder(draw)
+    with pytest.raises(ValueError, match="not enough antennas"):
+        zfval.column_norm_check(20, 4, 16, 10, seed=2)
 
 
 def test_wishart_trace_small_case():
