@@ -163,7 +163,9 @@ def run_sweep(spec: SweepSpec, jobs: int = 1) -> list:
     if jobs > 1:
         # imported here: serial runs never load the pool's modules
         from concurrent.futures import ProcessPoolExecutor
-        with ProcessPoolExecutor(max_workers=jobs) as pool:
+        # the pool forks all its workers at once: at most one per point
+        workers = min(jobs, len(spec.axis))
+        with ProcessPoolExecutor(max_workers=workers) as pool:
             chunks = list(pool.map(_rows_for_point, [spec] * len(spec.axis),
                                    spec.axis))
     else:

@@ -159,8 +159,7 @@ def _screened_sum(rng, trials, m, n, gains, f):
 
 def draw_channel(n_t: int, n_r: int, m_t: int, gains, seed: int) -> ChannelDraw:
     """Draw one stacked channel realization (reproducible for a seed)."""
-    if n_t < 1 or n_r < 0 or m_t < 1:
-        raise ValueError("dimensions must be positive")
+    _check_dimensions(n_t, n_r, m_t)
     gains = _checked_gains(gains, m_t + n_r)
     rng = np.random.default_rng(seed)
     stacked = next(_complex_rows(rng, 1, m_t + n_r, n_t, gains))[0]
@@ -207,6 +206,7 @@ def wishart_trace_check(n_t: int, m: int, trials: int, seed: int) -> CheckResult
 
     The closed form is m / (n_t - m).
     """
+    _check_dimensions(n_t, 0, m)
     if n_t <= m + 1:
         raise ValueError("need n_t > m + 1")
     _check_trials(trials)
@@ -221,6 +221,7 @@ def wishart_trace_check(n_t: int, m: int, trials: int, seed: int) -> CheckResult
 def column_norm_check(n_t: int, m_t: int, n_r: int, trials: int, seed: int,
                       gains=None) -> CheckResult:
     """Monte-Carlo mean of ||w_k||^2 for the normalized precoder (target 1)."""
+    _check_dimensions(n_t, n_r, m_t)
     rows = m_t + n_r
     gains = _checked_gains(np.ones(rows) if gains is None else gains, rows)
     dof = n_t - rows
@@ -277,79 +278,52 @@ def exactness_check(n_t: int, m_t: int, n_r: int, trials: int,
 # -- empirical SINR validation -------------------------------------------
 
 
-@dataclass(frozen=True)
-class _StreamGroup:
-    label: str
-    count: int
-    gain: float
-    p_stream: float
-    denom: float
-
-
-@dataclass(frozen=True)
-class _Stack:
-    n: int
-    groups: tuple
-    null_rows: tuple     # (count, gain) pairs appended below the data rows
-
-
 def _link_stacks(scheme: Scheme, params: SystemParams,
                  alloc: PowerAllocation):
-    p = params
-    a = alloc
-    d_str = p.d - p.k_d2d
-    p_dl = a.p_d / d_str if d_str > 0 else 0.0
-    p_bhu = a.p_bh_u / p.m_bh_t if p.m_bh_t > 0 else 0.0
-    p_bhd = a.p_bh_d / p.m_bh_r if p.m_bh_r > 0 else 0.0
+    """(streams, stacks) of the scheme's ZF inversions.
 
+    ``streams[link]`` is the link's (stream count, row gain, per-stream
+    power).  Each stack is (antennas, the (link, SINR denominator) pairs
+    of its streams in row order, the (count, gain) null rows below them).
+    """
+    p, a = params, alloc
+    d_str = p.d - p.k_d2d
+    streams = {
+        "dl": (d_str, p.l_ue, a.p_d / d_str if d_str > 0 else 0.0),
+        "ul": (p.u, p.l_ue, a.p_u),
+        "bh_d": (p.m_bh_r, p.l_bh,
+                 a.p_bh_d / p.m_bh_r if p.m_bh_r > 0 else 0.0),
+        "bh_u": (p.m_bh_t, p.l_bh,
+                 a.p_bh_u / p.m_bh_t if p.m_bh_t > 0 else 0.0)}
     if scheme is Scheme.FULL_DUPLEX:
         iui = p.l_ud * ((p.u - p.k_d2d) * a.p_u + p.k_d2d * a.p_u_d2d)
         si = p.alpha * (a.p_d + a.p_bh_u)
-        return [
-            _Stack(p.n_t,
-                   (_StreamGroup("dl", d_str, p.l_ue, p_dl,
-                                 p.sigma_n2 + iui),
-                    _StreamGroup("bh_u", p.m_bh_t, p.l_bh, p_bhu,
-                                 p.sigma_n2)),
-                   ((p.k_d2d, p.l_ue), (p.n_r, 1.0))),
-            _Stack(p.n_r,
-                   (_StreamGroup("ul", p.u, p.l_ue, a.p_u,
-                                 p.sigma_n2 + si),
-                    _StreamGroup("bh_d", p.m_bh_r, p.l_bh, p_bhd,
-                                 p.sigma_n2 + si)),
-                   ()),
+        stacks = [
+            (p.n_t, (("dl", p.sigma_n2 + iui), ("bh_u", p.sigma_n2)),
+             ((p.k_d2d, p.l_ue), (p.n_r, 1.0))),
+            (p.n_r, (("ul", p.sigma_n2 + si), ("bh_d", p.sigma_n2 + si)), ()),
         ]
-    if scheme is Scheme.HALF_DUPLEX:
-        return [
-            _Stack(p.n_t,
-                   (_StreamGroup("dl", d_str, p.l_ue, p_dl, p.sigma_n2),
-                    _StreamGroup("bh_u", p.m_bh_t, p.l_bh, p_bhu,
-                                 p.sigma_n2)),
-                   ()),
-            _Stack(p.n_r,
-                   (_StreamGroup("ul", p.u, p.l_ue, a.p_u, p.sigma_n2),
-                    _StreamGroup("bh_d", p.m_bh_r, p.l_bh, p_bhd,
-                                 p.sigma_n2)),
-                   ()),
+    elif scheme is Scheme.HALF_DUPLEX:
+        stacks = [
+            (p.n_t, (("dl", p.sigma_n2), ("bh_u", p.sigma_n2)), ()),
+            (p.n_r, (("ul", p.sigma_n2), ("bh_d", p.sigma_n2)), ()),
         ]
-    # hybrid relay: DL with incoming backhaul in one slot, UL with outgoing
-    # backhaul (and D2D) in the other
-    return [
-        _Stack(p.n_t,
-               (_StreamGroup("dl", d_str, p.l_ue, p_dl, p.sigma_n2),),
-               ((p.n_r, 1.0),)),
-        _Stack(p.n_r,
-               (_StreamGroup("bh_d", p.m_bh_r, p.l_bh, p_bhd,
-                             p.sigma_n2 + p.alpha * a.p_d),),
-               ()),
-        _Stack(p.n_t,
-               (_StreamGroup("bh_u", p.m_bh_t, p.l_bh, p_bhu, p.sigma_n2),),
-               ((p.k_d2d, p.l_ue), (p.n_r, 1.0))),
-        _Stack(p.n_r,
-               (_StreamGroup("ul", p.u, p.l_ue, a.p_u,
-                             p.sigma_n2 + p.alpha * a.p_bh_u),),
-               ()),
-    ]
+    else:
+        # hybrid relay: DL with incoming backhaul in one slot, UL with
+        # outgoing backhaul (and D2D) in the other
+        stacks = [
+            (p.n_t, (("dl", p.sigma_n2),), ((p.n_r, 1.0),)),
+            (p.n_r, (("bh_d", p.sigma_n2 + p.alpha * a.p_d),), ()),
+            (p.n_t, (("bh_u", p.sigma_n2),),
+             ((p.k_d2d, p.l_ue), (p.n_r, 1.0))),
+            (p.n_r, (("ul", p.sigma_n2 + p.alpha * a.p_bh_u),), ()),
+        ]
+    return streams, stacks
+
+
+def _check_dimensions(n_t: int, n_r: int, m_t: int):
+    if n_t < 1 or n_r < 0 or m_t < 1:
+        raise ValueError("dimensions must be positive")
 
 
 def _check_trials(trials: int):
@@ -391,34 +365,31 @@ def empirical_sinr_check(params: SystemParams, scheme: Scheme,
                   "bh_d": closed.sinr_bh_d, "bh_u": closed.sinr_bh_u}
 
     rng = np.random.default_rng(seed)
+    streams, stacks = _link_stacks(scheme, params, alloc)
     results = []
-    for stack in _link_stacks(scheme, params, alloc):
-        stream_groups = [g for g in stack.groups if g.count > 0]
-        if not stream_groups:
+    for n, denoms, null_rows in stacks:
+        served = [(link, denom) for link, denom in denoms
+                  if streams[link][0] > 0]
+        if not served:
             continue
-        counts, row_gains = zip(*[(g.count, g.gain) for g in stream_groups],
-                                *stack.null_rows)
+        counts, row_gains = zip(*[streams[link][:2] for link, _ in served],
+                                *null_rows)
         gains = np.repeat(np.asarray(row_gains, dtype=float), counts)
-        if gains.size >= stack.n:
-            raise ValueError("stack has no zero-forcing degrees of freedom")
         # Per draw the precoder columns are renormalized to unit norm, so
         # each stream radiates exactly its allocated power; the received
         # signal power of stream k is then p_k / {(HH^H)^-1}_kk.
-        m_data = sum(g.count for g in stream_groups)
+        m_data = sum(counts[:len(served)])
         sums, used = _screened_sum(
-            rng, trials, gains.size, stack.n, gains,
+            rng, trials, gains.size, n, gains,
             lambda d: np.sum(1.0 / d[:, :m_data], axis=0))
         offset = 0
-        for group in stream_groups:
-            cf = closed_map[group.label]
-            block = sums[offset:offset + group.count]
-            offset += group.count
-            if group.p_stream <= 0.0 or cf <= 0.0:
-                results.append(CheckResult(group.label, 0.0, cf,
-                                           0.0 if cf == 0.0 else 1.0))
-                continue
-            empirical = (group.p_stream * float(np.mean(block)) / used
-                         / group.denom)
-            results.append(CheckResult(group.label, empirical, cf,
-                                       abs(empirical - cf) / cf))
+        for link, denom in served:
+            count, _, p_stream = streams[link]
+            cf = closed_map[link]
+            block = sums[offset:offset + count]
+            offset += count
+            empirical = (p_stream * float(np.mean(block)) / used / denom
+                         if p_stream > 0.0 and cf > 0.0 else 0.0)
+            results.append(CheckResult(
+                link, empirical, cf, abs(empirical - cf) / cf if cf else 0.0))
     return results

@@ -118,9 +118,11 @@ def test_label_order_reference_cell(reference_params):
 
 
 def test_fd_omits_eta_rows(reference_params):
-    labels = constraints(Scheme.FULL_DUPLEX, reference_params,
-                         alloc()).labels()
+    report = constraints(Scheme.FULL_DUPLEX, reference_params, alloc())
+    labels = report.labels()
     assert "eta_lo" not in labels and "eta_hi" not in labels
+    with pytest.raises(KeyError, match="eta_lo"):
+        report.value("eta_lo")
 
 
 def test_d2d_power_row_only_with_pairs():

@@ -7,10 +7,11 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from selfbackhaul.model import (SLOTS, ConfigError, Scheme, StructuralError,
-                                links, load_params, params_from_db,
-                                params_to_db, parse_config_text,
-                                require_valid, validate)
+from selfbackhaul import zfval
+from selfbackhaul.model import (SLOTS, ConfigError, PowerAllocation, Scheme,
+                                StructuralError, links, load_params,
+                                params_from_db, params_to_db,
+                                parse_config_text, require_valid, validate)
 
 from conftest import REFERENCE_DB, make_params
 
@@ -263,4 +264,12 @@ def test_dof_checks_equal_per_scheme_rules(scheme):
         expected = _oracle_dof_violations(params, scheme)
         failing += bool(expected)
         assert [v for v in validate(params, scheme) if "DoF" in v] == expected
+        # the Monte-Carlo reference zero-forces exactly the valid cells:
+        # each of its stacks has fewer rows than antennas
+        streams, stacks = zfval._link_stacks(scheme, params,
+                                             PowerAllocation(0, 0, 0, 0))
+        assert (not expected) == all(
+            sum(streams[link][0] for link, _ in denoms)
+            + sum(count for count, _ in null_rows) < n
+            for n, denoms, null_rows in stacks)
     assert 0 < failing < 400

@@ -137,7 +137,7 @@ def test_rows_reevaluate_through_rate_engine(tiny_sweep_rows):
             assert row.clamped == (row.c_d < rb.c_d or row.c_u < rb.c_u)
 
 
-def test_skip_marker_rows():
+def test_skip_marker_rows(tmp_path):
     # n_r = 200 kills the FD transmit DoF at the second grid point
     spec = small_spec(kind="custom_grid", axis=[100, 200],
                       axis_param="n_r", schemes=[Scheme.FULL_DUPLEX])
@@ -147,6 +147,43 @@ def test_skip_marker_rows():
     for row in skipped:
         assert row.converged == -1 and math.isnan(row.c_s)
     assert all(r.converged >= 0 for r in rows if r.axis == 100)
+    # in the CSV every rate and power of a skipped row reads nan
+    out = tmp_path / "skip.csv"
+    emit_csv(rows, out)
+    lines = out.read_text(encoding="utf-8").splitlines()
+    cells = [line.split(",") for line in lines[1:] if line.startswith("200,")]
+    assert len(cells) == 2
+    for row in cells:
+        assert row[4:-1] == ["nan"] * 12 and row[-1] == "-1"
+
+
+@pytest.mark.parametrize("jobs,workers", [(64, 3), (3, 3), (2, 2)])
+def test_parallel_sweep_starts_at_most_one_worker_per_point(
+        jobs, workers, monkeypatch):
+    # the pool forks all its workers at once, so none is really started:
+    # a stand-in records the worker count and maps in this process
+    import concurrent.futures
+    started = []
+
+    class InProcessPool:
+        def __init__(self, max_workers):
+            started.append(max_workers)
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return False
+
+        def map(self, fn, *iterables):
+            return map(fn, *iterables)
+
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor",
+                        InProcessPool)
+    spec = small_spec(axis=[80.0, 100.0, 120.0], include_baseline=False)
+    rows = run_sweep(spec, jobs=jobs)
+    assert started == [workers]
+    assert rows == run_sweep(spec)
 
 
 def test_parallel_jobs_match_serial(tiny_sweep_rows):

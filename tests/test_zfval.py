@@ -1,6 +1,7 @@
 """Monte-Carlo validation machinery: draws, precoder, Wishart, SINRs."""
 
 import tracemalloc
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -29,11 +30,26 @@ def test_draw_shapes_and_gain_scaling():
     assert np.mean(np.abs(draw.h_s) ** 2) == pytest.approx(1e-8, rel=0.05)
 
 
-@pytest.mark.parametrize("n_t,n_r,m_t", [(0, 16, 4), (40, -1, 4),
-                                          (40, 16, 0)])
-def test_draw_channel_needs_positive_dimensions(n_t, n_r, m_t):
+@pytest.mark.parametrize("check,args", [
+    pytest.param(zfval.draw_channel, (0, 16, 4, np.ones(20), 1), id="0-16-4"),
+    pytest.param(zfval.draw_channel, (40, -1, 4, np.ones(20), 1),
+                 id="40--1-4"),
+    pytest.param(zfval.draw_channel, (40, 16, 0, np.ones(20), 1),
+                 id="40-16-0"),
+    pytest.param(zfval.column_norm_check, (40, 4, -1, 1000, 1),
+                 id="column_norm-n_r=-1"),
+    pytest.param(zfval.column_norm_check, (40, 0, 16, 1000, 1),
+                 id="column_norm-m_t=0"),
+    pytest.param(zfval.wishart_trace_check, (40, 0, 1000, 1),
+                 id="wishart-m=0"),
+])
+def test_draw_channel_needs_positive_dimensions(check, args, monkeypatch):
+    def no_draw(*_):
+        raise AssertionError("drew before checking the dimensions")
+
+    monkeypatch.setattr(zfval, "_complex_rows", no_draw)
     with pytest.raises(ValueError, match="dimensions must be positive"):
-        zfval.draw_channel(n_t, n_r, m_t, np.ones(20), seed=1)
+        check(*args)
 
 
 def test_draw_gain_length_mismatch():
@@ -389,6 +405,22 @@ def test_empirical_sinr_independent_of_ue_path_loss(scheme, small_cell):
         for result, ref in zip(results, at_80):
             assert result.rel_error == pytest.approx(ref.rel_error,
                                                      rel=1e-12, abs=0.0)
+
+
+@pytest.mark.parametrize("scheme,field,link", [
+    (Scheme.HYBRID_RELAY, "m_bh_r", "bh_d"),
+    (Scheme.HYBRID_RELAY, "m_bh_t", "bh_u"),
+    (Scheme.FULL_DUPLEX, "m_bh_r", "bh_d"),
+], ids=lambda v: getattr(v, "value", v))
+def test_empirical_sinr_skips_a_link_without_streams(scheme, field, link,
+                                                     small_cell):
+    params, alloc = small_cell
+    results = zfval.empirical_sinr_check(replace(params, **{field: 0}),
+                                         scheme, alloc, trials=1000, seed=8)
+    full = zfval.empirical_sinr_check(params, scheme, alloc, trials=1000,
+                                      seed=8)
+    assert [r.label for r in results] == [r.label for r in full
+                                          if r.label != link]
 
 
 def test_empirical_sinr_needs_enough_trials(small_cell):
