@@ -16,9 +16,8 @@ import argparse
 import sys
 from pathlib import Path
 
-from .feasibility import constraints
-from .model import (ConfigError, PowerAllocation, Scheme, StructuralError,
-                    load_params, params_from_db)
+from .model import (ConfigError, PowerAllocation, Scheme, load_params,
+                    load_params_db, params_from_db)
 from .optimizer import OptimizerOptions, baseline, optimize
 from .sweep import emit_csv, load_sweep_spec, preset_path, run_sweep
 from . import zfval
@@ -32,7 +31,8 @@ def _build_parser():
     sub = parser.add_subparsers(dest="command", required=True)
 
     p_opt = sub.add_parser("optimize", help="maximize one scheme's sum-rate")
-    p_opt.add_argument("--scheme", required=True, choices=["fd", "hd", "rl"])
+    p_opt.add_argument("--scheme", required=True,
+                       choices=[s.value for s in Scheme])
     p_opt.add_argument("--config", required=True,
                        help="cell parameter file (name = value lines)")
     p_opt.add_argument("--baseline", action="store_true",
@@ -95,11 +95,8 @@ def _cmd_sweep(args) -> int:
     return 0
 
 
-_VALIDATION_CELL = dict(
-    n_t=40, n_r=16, m_bh_t=2, m_bh_r=4, d=4, u=4, k_d2d=0, k_an=0,
-    noise_dbm=-90, l_ue_db=80, l_ud_db=70, l_bh_db=80,
-    p_an_dbm=30, p_ue_dbm=25, p_bh_dbm=40, si_cancellation_db=120,
-    rho_min=0.15, rho_max=0.30)
+# validate-zf checks the reference cell at these array sizes
+MONTE_CARLO_SIZES = dict(n_t=40, n_r=16, m_bh_t=2, m_bh_r=4, d=4, u=4)
 
 
 def _cmd_validate_zf(args) -> int:
@@ -113,7 +110,8 @@ def _cmd_validate_zf(args) -> int:
     checks.append(zfval.wishart_trace_check(40, 20, trials, seed + 2))
     checks.append(zfval.wishart_trace_check(200, 16, trials, seed + 3))
 
-    params = params_from_db(_VALIDATION_CELL)
+    params = params_from_db(dict(load_params_db(preset_path("default")),
+                                 **MONTE_CARLO_SIZES))
     alloc = PowerAllocation(p_d=1000.0, p_u=100.0, p_bh_d=500.0,
                             p_bh_u=200.0)
     for scheme in Scheme:
@@ -140,13 +138,15 @@ def _cmd_validate_zf(args) -> int:
 def main(argv=None) -> int:
     args = _build_parser().parse_args(argv)
     try:
+        out = getattr(args, "out", None)
+        if out and (Path(out).is_dir() or not Path(out).parent.is_dir()):
+            raise ConfigError(f"cannot write --out {out!r}")
         if args.command == "optimize":
             return _cmd_optimize(args)
         if args.command == "sweep":
             return _cmd_sweep(args)
         return _cmd_validate_zf(args)
-    except (ConfigError, StructuralError, FileNotFoundError, OSError,
-            ValueError) as exc:
+    except (OSError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
 

@@ -11,7 +11,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field, fields, replace
-from importlib import resources
 from pathlib import Path
 
 from .model import (CONFIG_KEYS, COUNT_KEYS, ConfigError, Scheme,
@@ -180,8 +179,6 @@ def _fmt(value) -> str:
         return "true" if value else "false"
     if isinstance(value, (str, int)):
         return str(value)
-    if math.isnan(value):
-        return "nan"
     return f"{value:.9g}"
 
 
@@ -200,11 +197,11 @@ def emit_csv(rows, path):
 
 def preset_path(name: str) -> Path:
     """Path of a packaged sweep preset (e.g. ``fig4a``)."""
-    base = resources.files("selfbackhaul") / "configs"
-    candidate = base / (name if name.endswith(".cfg") else f"{name}.cfg")
+    candidate = Path(__file__).with_name("configs") / (
+        name if name.endswith(".cfg") else f"{name}.cfg")
     if not candidate.is_file():
         raise ConfigError(f"no packaged preset named {name!r}")
-    return Path(str(candidate))
+    return candidate
 
 
 def _axis_value(text):
@@ -228,8 +225,11 @@ def _parse_axis(text):
         step = _axis_value(parts[2]) if len(parts) == 3 else 1.0
         if step <= 0:
             raise ConfigError("axis step must be > 0")
+        span = (stop - start) / step
+        if math.isinf(span):
+            raise ConfigError(f"axis range {text!r} is too wide")
         # the last point may reach stop by round-off, never pass it
-        n = math.floor((stop - start) / step + 1e-9)
+        n = math.floor(span + 1e-9)
         return [min(start + i * step, stop) for i in range(n + 1)]
     return [_axis_value(v) for v in text.split(",") if v.strip()]
 
@@ -242,20 +242,15 @@ def load_sweep_spec(path) -> SweepSpec:
     """
     path = Path(path)
     raw = parse_config_text(path.read_text(encoding="utf-8"),
+                            known_keys=_SWEEP_KEYS | set(CONFIG_KEYS),
                             verbatim={"axis"})
-
-    unknown = set(raw) - _SWEEP_KEYS - set(CONFIG_KEYS)
-    if unknown:
-        raise ConfigError(f"unknown sweep spec keys: {sorted(unknown)}")
     if "kind" not in raw:
         raise ConfigError("sweep spec needs a 'kind'")
 
     base_db = {}
     if "params" in raw:
-        params_path = Path(str(raw["params"]))
-        if not params_path.is_absolute():
-            params_path = path.parent / params_path
-        base_db.update(load_params_db(params_path))
+        # an absolute path replaces path.parent
+        base_db.update(load_params_db(path.parent / str(raw["params"])))
     for key in CONFIG_KEYS:
         if key in raw:
             base_db[key] = raw[key]
@@ -275,8 +270,8 @@ def load_sweep_spec(path) -> SweepSpec:
     else:
         raise ConfigError("sweep spec needs an 'axis'")
 
-    schemes = [Scheme.parse(s) for s in
-               str(raw.get("schemes", "fd,hd,rl")).split(",")]
+    schemes = ([Scheme.parse(s) for s in str(raw["schemes"]).split(",")]
+               if "schemes" in raw else list(Scheme))
     options = OptimizerOptions()
     if "seed" in raw:
         options.rng_seed = require_integer("seed", raw["seed"])

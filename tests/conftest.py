@@ -1,18 +1,15 @@
 from hypothesis import strategies as st
 import pytest
 
-from selfbackhaul.model import params_from_db
+from selfbackhaul.cli import MONTE_CARLO_SIZES
+from selfbackhaul.model import load_params_db, params_from_db
+from selfbackhaul.sweep import preset_path
 
 
-REFERENCE_DB = dict(
-    n_t=200, n_r=100, m_bh_t=6, m_bh_r=12, d=10, u=10, k_d2d=0, k_an=0,
-    noise_dbm=-90, l_ue_db=80, l_ud_db=70, l_bh_db=80,
-    p_an_dbm=30, p_ue_dbm=25, p_bh_dbm=40, si_cancellation_db=120,
-    rho_min=0.15, rho_max=0.30,
-)
+REFERENCE_DB = load_params_db(preset_path("default"))
 
-# same cell shrunk to Monte-Carlo-friendly array sizes
-SMALL_DB = dict(REFERENCE_DB, n_t=40, n_r=16, m_bh_t=2, m_bh_r=4, d=4, u=4)
+# the cell validate-zf checks: the reference cell at Monte-Carlo sizes
+SMALL_DB = dict(REFERENCE_DB, **MONTE_CARLO_SIZES)
 
 
 @pytest.fixture

@@ -1,9 +1,9 @@
 """Acceptance suite: one test per criterion, one printed line per criterion.
 
-The sweep-based criteria share three module-scoped sweeps (SI cancellation,
-intra-cell pairs with both routings, backhaul streams), all run with at
-most the default 50 starts and seed 42.  Tolerances are fixed here and
-nowhere else:
+The sweep-based criteria share three module-scoped sweeps, the packaged
+presets fig4a (SI cancellation), fig5a and fig5a_d2d (intra-cell pairs,
+both routings) and fig6a (backhaul streams), each run with at most 50
+starts and seed 42.  Tolerances are fixed here and nowhere else:
 
   1. SI crossovers at 88 / 120 dB, each within +-3 dB
   2. HD sum-rate flat over the SI axis within 1e-6 relative
@@ -25,19 +25,13 @@ import time
 import pytest
 
 from selfbackhaul.model import PowerAllocation, Scheme, params_from_db
-from selfbackhaul.optimizer import OptimizerOptions
 from selfbackhaul.rates import rates
-from selfbackhaul.sweep import SweepSpec, run_sweep
+from selfbackhaul.sweep import load_sweep_spec, preset_path, run_sweep
 from selfbackhaul import zfval
 
 from conftest import REFERENCE_DB, SMALL_DB
 
 SEED = 42
-N_STARTS = 50
-
-
-def _options():
-    return OptimizerOptions(n_starts=N_STARTS, rng_seed=SEED)
 
 
 def _report(num, name, ok, detail):
@@ -53,37 +47,28 @@ def _by_point(rows, optimized):
     return table
 
 
+def _preset_rows(name):
+    return run_sweep(load_sweep_spec(preset_path(name)))
+
+
 @pytest.fixture(scope="module")
 def si_sweep():
-    spec = SweepSpec(kind="si_cancellation",
-                     axis=[float(v) for v in range(60, 141)],
-                     base_db=dict(REFERENCE_DB), schemes=list(Scheme),
-                     include_baseline=True, options=_options())
     start = time.time()
-    rows = run_sweep(spec)
+    rows = _preset_rows("fig4a")
     return rows, time.time() - start
 
 
 @pytest.fixture(scope="module")
 def intra_cell_sweeps():
-    base = dict(REFERENCE_DB, m_bh_t=2, m_bh_r=4)
-    out = {}
     start = time.time()
-    for routing in ("via_an", "d2d"):
-        spec = SweepSpec(kind="intra_cell_pairs", axis=list(range(0, 10)),
-                         base_db=base, schemes=list(Scheme), routing=routing,
-                         include_baseline=False, options=_options())
-        out[routing] = run_sweep(spec)
+    out = {"via_an": _preset_rows("fig5a"), "d2d": _preset_rows("fig5a_d2d")}
     return out, time.time() - start
 
 
 @pytest.fixture(scope="module")
 def backhaul_sweep():
-    spec = SweepSpec(kind="backhaul_streams", axis=list(range(1, 13)),
-                     base_db=dict(REFERENCE_DB), schemes=list(Scheme),
-                     include_baseline=True, options=_options())
     start = time.time()
-    rows = run_sweep(spec)
+    rows = _preset_rows("fig6a")
     return rows, time.time() - start
 
 

@@ -27,6 +27,8 @@ def test_reference_conversions(reference_params):
     assert p.p_an_max == pytest.approx(1000.0, rel=1e-12)
     assert p.alpha == pytest.approx(1e-12, rel=1e-12)
     assert p.p_bh_d_max == pytest.approx(10000.0, rel=1e-12)
+    assert p.l_bh == pytest.approx(1e-8, rel=1e-12)
+    assert (p.rho_min, p.rho_max) == (0.15, 0.30)
 
 
 def test_ue_power_conversion(reference_params):

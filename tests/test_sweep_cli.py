@@ -5,7 +5,7 @@ import re
 
 import pytest
 
-from selfbackhaul import cli, sweep
+from selfbackhaul import cli, sweep, zfval
 from selfbackhaul.model import ConfigError, Scheme, params_from_db
 from selfbackhaul.optimizer import OptimizerOptions, optimize
 from selfbackhaul.rates import rates
@@ -240,7 +240,7 @@ def test_spec_file_overrides_and_errors(tmp_path):
     bad = tmp_path / "bad.cfg"
     bad.write_text("kind = si_cancellation\naxis = 1,2\nparams = cell.cfg\n"
                    "banana = 1\n", encoding="utf-8")
-    with pytest.raises(ConfigError, match="banana"):
+    with pytest.raises(ConfigError, match="line 4: unknown key 'banana'"):
         load_sweep_spec(bad)
 
 
@@ -300,8 +300,10 @@ def test_spec_file_rejects_a_repeated_scheme(tmp_path, schemes, repeated):
      "axis step must be > 0"),
     ("kind = si_cancellation\nparams = cell.cfg\naxis = 110:100:-5",
      "axis step must be > 0"),
+    ("kind = si_cancellation\nparams = cell.cfg\naxis = -1e308:1e308:1e300",
+     "axis range '-1e308:1e308:1e300' is too wide"),
 ], ids=["no_kind", "incomplete_params", "no_axis", "four_part_range",
-        "zero_step", "negative_step"])
+        "zero_step", "negative_step", "overflowing_range"])
 def test_spec_file_errors(tmp_path, text, message):
     _write_reference_config(tmp_path)
     spec_file = tmp_path / "sweep.cfg"
@@ -505,6 +507,24 @@ def test_cli_validate_zf_rejects_fewer_than_1000_trials(capsys):
     code = cli.main(["validate-zf", "--trials", "999", "--seed", "1"])
     assert code == 1
     assert "error: need at least 1000 trials" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("command", [["sweep", "--spec", "fig6b"],
+                                     ["validate-zf", "--trials", "1000"]],
+                         ids=["sweep", "validate-zf"])
+@pytest.mark.parametrize("missing_dir", [True, False],
+                         ids=["missing_dir", "a_directory"])
+def test_cli_checks_out_before_any_work(tmp_path, monkeypatch, capsys,
+                                        command, missing_dir):
+    def no_work(*args, **kwargs):
+        raise AssertionError("work ran before --out was checked")
+    monkeypatch.setattr(cli, "run_sweep", no_work)
+    monkeypatch.setattr(zfval, "column_norm_check", no_work)
+    out = tmp_path / "no" / "such" / "x.csv" if missing_dir else tmp_path
+    assert cli.main(command + ["--out", str(out)]) == 1
+    assert f"error: cannot write --out {str(out)!r}" in (
+        capsys.readouterr().err)
+    assert list(tmp_path.iterdir()) == []
 
 
 @pytest.mark.parametrize("jobs", ["0", "-2"])
