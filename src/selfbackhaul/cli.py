@@ -103,9 +103,10 @@ def _cmd_validate_zf(args) -> int:
     trials, seed = args.trials, args.seed
     if seed < 0:
         raise ConfigError(f"seed must be >= 0, got {seed}")
+    n_t, d, n_r = (MONTE_CARLO_SIZES[key] for key in ("n_t", "d", "n_r"))
     checks = []
-    checks.append(zfval.column_norm_check(40, 4, 16, trials, seed))
-    checks.extend(zfval.exactness_check(40, 4, 16, min(200, trials),
+    checks.append(zfval.column_norm_check(n_t, d, n_r, trials, seed))
+    checks.extend(zfval.exactness_check(n_t, d, n_r, min(200, trials),
                                         seed + 1))
     checks.append(zfval.wishart_trace_check(40, 20, trials, seed + 2))
     checks.append(zfval.wishart_trace_check(200, 16, trials, seed + 3))

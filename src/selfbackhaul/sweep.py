@@ -4,7 +4,10 @@ A sweep spec picks the swept quantity (SI cancellation in dB, intra-cell
 pair count with a routing choice, transmitted backhaul stream count, or an
 arbitrary config key), the axis values, the schemes, and the base cell
 configuration.  Grid points are independent and may be distributed over a
-worker pool; row ordering is deterministic either way.
+worker pool; row ordering is deterministic either way.  The pool is started
+by the first sweep with ``jobs > 1`` and kept for later sweeps that need
+the same worker count, so its workers are forked then: parent state
+changed afterwards is not seen in them.  It is closed at exit.
 """
 
 from __future__ import annotations
@@ -75,7 +78,7 @@ class SweepSpec:
                     f"intra-cell pair count exceeds min(d, u) = {cap}")
 
 
-@dataclass
+@dataclass(slots=True)
 class SweepRow:
     axis: float
     scheme: str
@@ -154,19 +157,56 @@ def _row(value, scheme, rb, optimized, clamped, converged):
                     converged=converged)
 
 
+# (workers, ProcessPoolExecutor) of the last pooled sweep, or None
+_pool = None
+
+
+def _close_pool():
+    global _pool
+    if _pool is not None:
+        _pool[1].shutdown()
+        _pool = None
+
+
+def _worker_pool(workers):
+    """The kept pool, replaced when a sweep needs another worker count."""
+    global _pool
+    if _pool is None or _pool[0] != workers:
+        # imported here: serial runs never load the pool's modules
+        import atexit
+        from concurrent.futures import ProcessPoolExecutor
+        _close_pool()
+        # shut down at exit, not left to the interpreter's module teardown
+        atexit.unregister(_close_pool)
+        atexit.register(_close_pool)
+        _pool = (workers, ProcessPoolExecutor(max_workers=workers))
+    return _pool[1]
+
+
 def run_sweep(spec: SweepSpec, jobs: int = 1) -> list:
-    """Evaluate the sweep grid; deterministic for fixed optimizer seeds."""
+    """Evaluate the sweep grid; deterministic for fixed optimizer seeds.
+
+    With ``jobs > 1`` the grid points run on the kept worker pool (see the
+    module docstring).  A pool that a dead worker broke is dropped, and
+    the sweep runs once more on a new one before the error is raised.
+    """
     spec.check()
     if jobs < 1:
         raise ConfigError(f"jobs must be >= 1, got {jobs}")
     if jobs > 1:
-        # imported here: serial runs never load the pool's modules
-        from concurrent.futures import ProcessPoolExecutor
+        from concurrent.futures.process import BrokenProcessPool
         # the pool forks all its workers at once: at most one per point
         workers = min(jobs, len(spec.axis))
-        with ProcessPoolExecutor(max_workers=workers) as pool:
-            chunks = list(pool.map(_rows_for_point, [spec] * len(spec.axis),
-                                   spec.axis))
+        for retry in (True, False):
+            try:
+                chunks = list(_worker_pool(workers).map(
+                    _rows_for_point, [spec] * len(spec.axis), spec.axis))
+                break
+            except BrokenProcessPool:
+                # a kept pool can lose a worker between sweeps, too
+                _close_pool()
+                if not retry:
+                    raise
     else:
         chunks = [_rows_for_point(spec, value) for value in spec.axis]
     rows = [row for chunk in chunks for row in chunk]

@@ -1,3 +1,6 @@
+import os
+from pathlib import Path
+
 from hypothesis import strategies as st
 import pytest
 
@@ -25,6 +28,15 @@ def reference_params():
 @pytest.fixture
 def small_params():
     return params_from_db(SMALL_DB)
+
+
+def src_env():
+    """The environment of a child interpreter that imports this checkout's
+    ``src/`` first."""
+    src = Path(__file__).resolve().parent.parent / "src"
+    path = os.environ.get("PYTHONPATH")
+    return dict(os.environ, PYTHONPATH=os.pathsep.join(
+        [str(src)] + ([path] if path else [])))
 
 
 def make_params(**overrides):

@@ -5,7 +5,6 @@ import importlib.machinery
 import importlib.util
 import math
 import os
-from pathlib import Path
 import re
 import subprocess
 import sys
@@ -27,7 +26,7 @@ from selfbackhaul.rates import rates
 from selfbackhaul.sweep import load_sweep_spec, preset_path
 import selfbackhaul.optimizer as optimizer_mod
 
-from conftest import make_params, valid_params
+from conftest import make_params, src_env, valid_params
 
 FAST = dict(n_starts=10, rng_seed=42)
 
@@ -416,13 +415,9 @@ print(sorted(name for name in sys.modules
 def test_cli_and_optimize_load_neither_scipy_optimize_nor_the_pool():
     # SLSQP's extension is loaded alone and the pool only by a parallel
     # sweep; `scipy.optimize` alone costs most of a command's start-up
-    src = Path(__file__).resolve().parent.parent / "src"
-    path = os.environ.get("PYTHONPATH")
-    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
-        [str(src)] + ([path] if path else [])))
-    done = subprocess.run([sys.executable, "-c", _IMPORT_GRAPH], env=env,
-                          capture_output=True, text=True, timeout=120,
-                          check=True)
+    done = subprocess.run([sys.executable, "-c", _IMPORT_GRAPH],
+                          env=src_env(), capture_output=True, text=True,
+                          timeout=120, check=True)
     assert done.stdout.strip() == "[]"
 
 

@@ -1,7 +1,12 @@
 """Sweep harness, CSV contract and the command-line interface."""
 
+import hashlib
 import math
+import os
+import pickle
 import re
+import subprocess
+import sys
 
 import pytest
 
@@ -13,7 +18,7 @@ from selfbackhaul.model import PowerAllocation
 from selfbackhaul.sweep import (CSV_HEADER, SweepRow, SweepSpec, emit_csv,
                                 load_sweep_spec, preset_path, run_sweep)
 
-from conftest import REFERENCE_DB
+from conftest import REFERENCE_DB, src_env
 
 FAST = OptimizerOptions(n_starts=6, rng_seed=42)
 
@@ -157,9 +162,18 @@ def test_skip_marker_rows(tmp_path):
         assert row[4:-1] == ["nan"] * 12 and row[-1] == "-1"
 
 
+@pytest.fixture
+def own_pool(monkeypatch):
+    """An empty pool slot for one test; the pool the test starts is closed
+    at its end."""
+    monkeypatch.setattr(sweep, "_pool", None)
+    yield
+    sweep._close_pool()
+
+
 @pytest.mark.parametrize("jobs,workers", [(64, 3), (3, 3), (2, 2)])
 def test_parallel_sweep_starts_at_most_one_worker_per_point(
-        jobs, workers, monkeypatch):
+        jobs, workers, monkeypatch, own_pool):
     # the pool forks all its workers at once, so none is really started:
     # a stand-in records the worker count and maps in this process
     import concurrent.futures
@@ -169,14 +183,11 @@ def test_parallel_sweep_starts_at_most_one_worker_per_point(
         def __init__(self, max_workers):
             started.append(max_workers)
 
-        def __enter__(self):
-            return self
-
-        def __exit__(self, *exc):
-            return False
-
         def map(self, fn, *iterables):
             return map(fn, *iterables)
+
+        def shutdown(self):
+            pass
 
     monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor",
                         InProcessPool)
@@ -191,6 +202,108 @@ def test_parallel_jobs_match_serial(tiny_sweep_rows):
     parallel = run_sweep(small_spec(
         schemes=[Scheme.FULL_DUPLEX, Scheme.HALF_DUPLEX]), jobs=2)
     assert parallel == rows
+
+
+def test_pooled_sweeps_keep_one_pool_per_worker_count(monkeypatch, own_pool):
+    import concurrent.futures
+    created, closed = [], []
+
+    class SpyPool(concurrent.futures.ProcessPoolExecutor):
+        def __init__(self, max_workers):
+            created.append(max_workers)
+            super().__init__(max_workers=max_workers)
+
+        def shutdown(self, *args, **kwargs):
+            closed.append(self)
+            super().shutdown(*args, **kwargs)
+
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", SpyPool)
+    spec = small_spec(include_baseline=False)
+    serial = run_sweep(spec)
+    assert run_sweep(spec, jobs=2) == serial
+    first = sweep._pool[1]
+    assert run_sweep(spec, jobs=2) == serial
+    assert created == [2] and closed == []
+    # three points at jobs=3 need three workers: the pool is replaced
+    wide = small_spec(axis=[80.0, 100.0, 120.0], include_baseline=False)
+    assert run_sweep(wide, jobs=3) == run_sweep(wide)
+    assert created == [2, 3] and closed == [first]
+
+
+def _exit_worker(spec, value):
+    os._exit(1)
+
+
+def test_a_dead_worker_costs_at_most_the_sweep_it_ran(monkeypatch, own_pool):
+    from concurrent.futures.process import BrokenProcessPool
+    spec = small_spec(include_baseline=False)
+    serial = run_sweep(spec)
+    assert run_sweep(spec, jobs=2) == serial
+    with pytest.raises(BrokenProcessPool):
+        sweep._pool[1].submit(os._exit, 1).result(timeout=60)
+    # the broken pool is dropped and the sweep runs on a new one
+    assert run_sweep(spec, jobs=2) == serial
+    # workers that die on every try cost that sweep, and only that one
+    rows_for_point = sweep._rows_for_point
+    monkeypatch.setattr(sweep, "_rows_for_point", _exit_worker)
+    with pytest.raises(BrokenProcessPool):
+        run_sweep(spec, jobs=2)
+    monkeypatch.setattr(sweep, "_rows_for_point", rows_for_point)
+    assert run_sweep(spec, jobs=2) == serial
+
+
+def test_cli_pooled_sweep_exits_cleanly(tmp_path):
+    # the kept pool is closed at exit, without a message from its threads
+    base = _write_reference_config(tmp_path)
+    spec_file = tmp_path / "two.cfg"
+    spec_file.write_text(
+        f"kind = si_cancellation\naxis = 80,120\nparams = {base}\n"
+        "schemes = hd\nn_starts = 3\n", encoding="utf-8")
+    out = tmp_path / "two.csv"
+    done = subprocess.run(
+        [sys.executable, "-m", "selfbackhaul.cli", "sweep", "--spec",
+         str(spec_file), "--out", str(out), "--jobs", "2"],
+        env=src_env(), capture_output=True, text=True, timeout=120)
+    assert (done.returncode, done.stderr) == (0, "")
+    assert len(out.read_text(encoding="utf-8").splitlines()) == 5
+
+
+def test_sweep_row_survives_a_pickle_round_trip():
+    row = SweepRow(axis=120.0, scheme="hd", optimized=True, clamped=False,
+                   c_d=99.5, c_u=29.9, c_ic=0.0, c_s=129.4, c_bh_d=99.5,
+                   c_bh_u=29.9, p_d_mw=998.0, p_u_mw=0.157, p_bh_d_mw=1e4,
+                   p_bh_u_mw=1.39, p_u_d2d_mw=0.0, eta=0.57, converged=5)
+    copy = pickle.loads(pickle.dumps(row))
+    assert copy == row and copy is not row
+    # a skipped point's row: nan != nan, so compare the text
+    skipped = SweepRow(axis=200.0, scheme="fd", optimized=True,
+                       clamped=False)
+    assert repr(pickle.loads(pickle.dumps(skipped))) == repr(skipped)
+    assert not hasattr(row, "__dict__")   # slots: workers return many rows
+
+
+# SHA-256 of each packaged preset's CSV at library seed 42
+PRESET_CSV_SHA256 = {
+    "fig4a": "a5cf5bd2834b3a8b0cd22f294343ab8c9e2394a82d2e1703137f507eba34607c",
+    "fig4b": "f7a62f34683653890eb7a0b4c5ac41190b7df56a9f855d37d34ff535c73d30a3",
+    "fig5a": "07ffe9505a808f85fe274c9d4f289d093ca9c1a67f388f2650d4c8701a38bd30",
+    "fig5a_d2d":
+        "49a72ff4c9953830e2958a4def1b85b77ed08a02fd00e0ff1e49294f0089ca71",
+    "fig5b": "6fc6f24432836e9ba7a741df37b7d3639ed0f6e1339a94820826c4bc3187a5ff",
+    "fig5b_d2d":
+        "2ea7ab71efeb179b4e06b13c2548cc76d2019d802ecb62fc0df795e6ac8f8b76",
+    "fig6a": "89a463bfd16d9c8b6923f79c487c66a8cd75234b5ba2db0cb17a0443239630d6",
+    "fig6b": "3013dae2cf8d91d974fac737c3b28bf2d8402f2aebf41e192b84695d715b9156",
+}
+
+
+@pytest.mark.parametrize("name", sorted(PRESET_CSV_SHA256))
+def test_pooled_preset_csv_is_unchanged(name, tmp_path):
+    # every row crosses the pool's pickle boundary on its way back
+    out = tmp_path / f"{name}.csv"
+    emit_csv(run_sweep(load_sweep_spec(preset_path(name)), jobs=2), out)
+    digest = hashlib.sha256(out.read_bytes()).hexdigest()
+    assert digest == PRESET_CSV_SHA256[name]
 
 
 def test_backhaul_kind_doubles_receive_streams():
