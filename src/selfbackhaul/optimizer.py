@@ -6,14 +6,15 @@ offending powers, and then runs an SLSQP solve on box-bounded variables
 (powers in log10 space).  Every start reaches SLSQP, whether or not its
 repaired point is feasible.  The constraints are the rows of
 `feasibility.slack_rows` that the variable boxes do not enforce, so the
-solver and the feasibility report share one encoding; `model.links` says
-whether ``eta`` is a variable.  The nonsmooth ``min`` term contributed by
-AN-relayed pairs is handled through an epigraph auxiliary variable.
+solver and the feasibility report share one encoding.  The nonsmooth
+``min`` term contributed by AN-relayed pairs is handled through an
+epigraph auxiliary variable ``t``.  The variables are stated once, in the
+table `_Problem.variables` of point arguments and boxes.
 The objective and the rows are stated once, in `_Problem._outputs`: a
 point's values are `_outputs` at the kernel's rates.  `_outputs` is
-affine in the rates, the allocation and the epigraph level, so the exact
-objective gradient and constraint Jacobian are one `_kernels.rate_jac`
-call at the iterate through maps read off `_outputs` once per instance.
+affine in the rates and the point arguments, so the exact objective
+gradient and constraint Jacobian are one `_kernels.rate_jac` call at the
+iterate through maps read off `_outputs` once per instance.
 Repair runs on one list of the allocation's values: it checks the clipped
 start, takes the violated rows from one kernel call and bisects the power
 behind each in place, one kernel call per step.
@@ -53,7 +54,7 @@ import importlib.machinery
 import importlib.util
 import math
 import os
-from dataclasses import dataclass, field, fields
+from dataclasses import dataclass, field
 from typing import ClassVar, NamedTuple
 
 import numpy as np
@@ -77,8 +78,12 @@ _PATIENCE = 5               # starts in a row with no such rise before stopping
 # p_u) drives the row's violation to zero monotonically (the cross terms
 # only help).
 _SHRINK_INDEX = {"bh_dl": 0, "rho_lo": 0, "bh_ul": 1, "rho_hi": 1}
-_ALLOC_FIELDS = tuple(f.name for f in fields(PowerAllocation))
 _N_PARTS = 7                # `_kernels.rate_parts` outputs
+# A point's arguments: `PowerAllocation.as_tuple` order, then the epigraph
+# level t.  One that is no variable keeps its value here: no D2D power
+# without direct pairs, an even split under fd, no t without relayed pairs.
+_FIXED = (0.0, 0.0, 0.0, 0.0, 0.0, 0.5, 0.0)
+_ETA, _T = 5, 6
 _LN10 = math.log(10.0)
 
 
@@ -138,10 +143,6 @@ class _Problem:
         scheme_links = require_valid(params, scheme)
         self.kernel = scheme_links.kernel
 
-        self.has_d2d = params.k_d2d > 0
-        self.has_eta = scheme_links.time_split
-        self.epigraph = params.k_an > 0
-
         # The boxes below enforce the power caps and the time split, and
         # the AN budget too when p_d and p_bh_u are never on at once.
         boxed = {"pwr_ue_ul", "pwr_ue_d2d", "pwr_bn", "eta_lo", "eta_hi"}
@@ -152,68 +153,71 @@ class _Problem:
                       for label, slack in slack_rows(scheme, params)
                       if label not in boxed]
 
-        self.n_powers = 5 if self.has_d2d else 4
-        bounds = [(_LOG_FLOOR, np.log10(c))
-                  for c in _caps(params)[:self.n_powers]]
-        if self.has_eta:
-            self.eta_idx = len(bounds)
-            bounds.append((0.0, 1.0))
-        if self.epigraph:
+        # The layout, read by everything else: (point argument, lower
+        # bound, upper bound) of each variable in vector order.  The powers
+        # come first, in log10, the D2D one only with direct pairs; then
+        # eta when some link is not always on, then t when pairs are relayed.
+        self.variables = [(i, _LOG_FLOOR, np.log10(cap))
+                          for i, cap in enumerate(_caps(params))
+                          if i != 4 or params.k_d2d]
+        if scheme_links.time_split:
+            self.variables.append((_ETA, 0.0, 1.0))
+        if params.k_an:
             # loose upper bound on the per-pair relay rate
-            self.t_idx = len(bounds)
-            t_cap = np.log2(1.0 + params.l_ue * params.n_t
-                            * params.p_an_max / params.sigma_n2)
-            bounds.append((0.0, t_cap))
-        self.dim = len(bounds)
-        self.lo, self.hi = (np.array(side) for side in zip(*bounds))
-        (self._rate_map, self._alloc_map, self._select,
-         self._t_cols) = self._jac_maps()
+            self.variables.append((_T, 0.0, np.log2(
+                1.0 + params.l_ue * params.n_t * params.p_an_max
+                / params.sigma_n2)))
+        _, self.lo, self.hi = (np.array(side) for side in zip(*self.variables))
+        self._args = [arg for arg, _, _ in self.variables]
+        self._n_log = sum(arg < _ETA for arg in self._args)   # log10 powers
+        self._rate_map, self._select, self._point_map = self._jac_maps()
 
         self._memo_key = None
         self._memo_val = None
+        self._memo_point = None
         self._deriv_key = None
         self._deriv_val = None
 
-    # -- variable vector <-> allocation --------------------------------
+    # -- variable vector <-> point ---------------------------------------
 
-    def _args(self, x, key):
-        """The kernel's allocation arguments at ``x``, in `as_tuple` order;
-        ``key`` is ``x.tolist()``."""
-        p = (10.0 ** x[:self.n_powers]).tolist()
-        return (p[0], p[1], p[2], p[3], p[4] if self.has_d2d else 0.0,
-                key[self.eta_idx] if self.has_eta else 0.5)
+    def _point(self, x, key):
+        """The point arguments at ``x``; ``key`` is ``x.tolist()``."""
+        n = self._n_log
+        e = list(_FIXED)
+        for arg, value in zip(self._args, (10.0 ** x[:n]).tolist() + key[n:]):
+            e[arg] = value
+        return e
 
     def to_alloc(self, x) -> PowerAllocation:
-        return PowerAllocation(*self._args(x, x.tolist()))
+        return PowerAllocation(*self._point(x, x.tolist())[:_T])
 
     def from_alloc(self, alloc: PowerAllocation):
         """The variable vector of ``alloc``; the epigraph level starts at
         the smaller relay rate, the most the rows allow there."""
-        p = [alloc.p_d, alloc.p_u, alloc.p_bh_d, alloc.p_bh_u]
-        if self.has_d2d:
-            p.append(alloc.p_u_d2d)
-        x = list(np.log10(np.maximum(p, 10.0 ** _LOG_FLOOR)))
-        if self.has_eta:
-            x.append(alloc.eta)
-        if self.epigraph:
-            parts = _kernels.rate_parts(self.kernel, *alloc.as_tuple())
-            x.append(min(parts[3], parts[4]))
-        return np.asarray(x)
+        e = [*alloc.as_tuple(), 0.0]
+        if _T in self._args:
+            e[_T] = min(_kernels.rate_parts(self.kernel, *e[:_T])[3:5])
+        x = np.array([e[arg] for arg in self._args])
+        n = self._n_log
+        x[:n] = np.log10(np.maximum(x[:n], 10.0 ** _LOG_FLOOR))
+        return x
 
     # -- evaluation -----------------------------------------------------
 
-    def _outputs(self, parts, a, t):
+    def _outputs(self, parts, e):
         """(negated objective, rows): the SLSQP problem at the kernel's
-        ``parts``, the allocation ``a`` and the epigraph level ``t``.
+        ``parts`` and the point arguments ``e``.
 
         The rows are the handed-over `slack_rows` rows, then the two
-        epigraph rows ``relay - t``; each is ``>= 0`` when it holds.
+        epigraph rows ``relay - t`` if ``t`` is a variable; each is ``>= 0``
+        when it holds.
         """
         c_d, c_u, c_d2d, relay_dl, relay_ul, c_bh_d, c_bh_u = parts
         obj = c_d + c_u + c_d2d
         c = (c_d, c_u, c_bh_d, c_bh_u)
-        g = [slack(c, a) for slack in self._rows]
-        if self.epigraph:
+        g = [slack(c, e) for slack in self._rows]
+        if _T in self._args:
+            t = e[_T]
             obj += self.params.k_an * t
             g.append(relay_dl - t)
             g.append(relay_ul - t)
@@ -230,66 +234,55 @@ class _Problem:
         key = x.tolist()
         if key == self._memo_key:
             return self._memo_val
-        a = self._args(x, key)
-        obj, g = self._outputs(_kernels.rate_parts(self.kernel, *a), a,
-                               key[self.t_idx] if self.epigraph else 0.0)
+        e = self._point(x, key)
+        obj, g = self._outputs(_kernels.rate_parts(self.kernel, *e[:_T]), e)
         value = (obj, np.asarray(g))
         self._memo_key = key
         self._memo_val = value
+        self._memo_point = e
         return value
 
     def _jac_maps(self):
-        """(rate map, allocation map, variable selection, ``t`` columns):
-        the fixed maps from the kernel's partials to the derivatives.
+        """(rate map, selection, point map): the fixed maps from the
+        kernel's partials and the point arguments to the derivatives.
 
-        `_outputs` is affine in the kernel's parts, the allocation ``a``
-        and the epigraph level ``t``, so each output's derivative is its
-        part coefficients times the kernel's partials, plus its allocation
-        coefficients times ``da/dx``, plus its ``t`` coefficient.  Every
-        coefficient is read off `_outputs` on unit vectors, so the problem
-        is stated once.
+        `_outputs` is affine in the kernel's parts and the point arguments
+        ``e``, so each output's derivative is its part coefficients times
+        the kernel's partials at the variables' columns, plus its argument
+        coefficients times ``de/dx``.  Every coefficient is read off
+        `_outputs` on unit vectors, so the problem is stated once.
         """
-        n_alloc = len(_ALLOC_FIELDS)
-
-        def outputs(parts=(0.0,) * _N_PARTS, a=(0.0,) * n_alloc, t=0.0):
-            obj, g = self._outputs(parts, a, t)
+        def outputs(parts=(0.0,) * _N_PARTS, e=(0.0,) * len(_FIXED)):
+            obj, g = self._outputs(parts, e)
             return np.array([obj, *g])
         base = outputs()
         rate_map = np.array([outputs(parts=unit) - base
                              for unit in np.eye(_N_PARTS).tolist()]).T
-        alloc_map = np.array([outputs(a=unit) - base
-                              for unit in np.eye(n_alloc).tolist()]).T
-        t_cols = np.zeros((base.size, self.dim))
-        if self.epigraph:
-            t_cols[:, self.t_idx] = outputs(t=1.0) - base
-        # kernel columns (as_tuple order) -> this problem's variables
-        used = list(range(self.n_powers))
-        if self.has_eta:
-            used.append(_ALLOC_FIELDS.index("eta"))
-        select = np.zeros((n_alloc, self.dim))
-        select[used, range(len(used))] = 1.0
-        return rate_map, alloc_map, select, t_cols
+        point_map = np.array([outputs(e=unit) - base
+                              for unit in np.eye(len(_FIXED)).tolist()]).T
+        # the kernel's partials are in `as_tuple` order, with none for t
+        select = np.eye(len(_FIXED))[:_T, self._args]
+        return rate_map, select, point_map[:, self._args]
 
     def derivatives(self, x):
         """(objective gradient, constraint Jacobian), exact, from one
         `_kernels.rate_jac` call.
 
         The kernel's partials are taken with respect to the log10 powers,
-        the optimizer's own variables; the allocation terms of the rows
-        get ``d p / d log10 p = p ln 10``.  SLSQP asks for the gradient and
-        the Jacobian at the same iterate, so the pair is kept for the last
-        point asked for.  The two are separate arrays: SLSQP goes wrong
-        when handed views into one.
+        the optimizer's own variables; the point arguments' terms get
+        ``d p / d log10 p = p ln 10``.  SLSQP asks for the gradient and
+        the Jacobian at the same iterate, mostly where it last asked for
+        the values, so the pair is kept for the last point asked for.  The
+        two are separate arrays: SLSQP goes wrong when handed views into one.
         """
         key = x.tolist()
         if key == self._deriv_key:
             return self._deriv_val
-        a = self._args(x, key)
-        jac = _kernels.rate_jac(self.kernel, *a)
-        da_dx = [v * _LN10 for v in a[:-1]]
-        da_dx.append(1.0)
-        out = ((self._rate_map @ np.array(jac) + self._alloc_map * da_dx)
-               @ self._select + self._t_cols)
+        e = self._memo_point if key == self._memo_key else self._point(x, key)
+        jac = _kernels.rate_jac(self.kernel, *e[:_T])
+        de_dx = [e[arg] * _LN10 if arg < _ETA else 1.0 for arg in self._args]
+        out = ((self._rate_map @ np.array(jac)) @ self._select
+               + self._point_map * de_dx)
         value = (out[0].copy(), out[1:].copy())
         self._deriv_key = key
         self._deriv_val = value
@@ -407,13 +400,15 @@ def minimize(fun, x0, jac, bounds, constraints) -> SlsqpResult:
 def _draw_start(problem: _Problem, rng) -> PowerAllocation:
     """A random start: each power log-uniform between the start floor and
     its cap (at the cap when the cap is below the floor), ``eta``
-    uniform."""
-    p = [10.0 ** rng.uniform(np.log10(min(_P_START_FLOOR_MW, cap)),
-                             np.log10(cap))
-         for cap in _caps(problem.params)[:problem.n_powers]]
-    p_u_d2d = p[4] if problem.has_d2d else 0.0
-    eta = rng.uniform(0.0, 1.0) if problem.has_eta else 0.5
-    return PowerAllocation(*p[:4], p_u_d2d=p_u_d2d, eta=eta)
+    uniform; `_Problem.from_alloc` sets ``t``."""
+    e = list(_FIXED)
+    for arg, lo, hi in problem.variables:
+        if arg < _ETA:
+            e[arg] = 10.0 ** rng.uniform(
+                min(np.log10(_P_START_FLOOR_MW), hi), hi)
+        elif arg == _ETA:
+            e[arg] = rng.uniform(lo, hi)
+    return PowerAllocation(*e[:_T])
 
 
 def repair_start(scheme: Scheme, params: SystemParams,

@@ -38,7 +38,7 @@ class SweepSpec:
     axis: list
     base_db: dict
     schemes: list = field(default_factory=lambda: list(Scheme))
-    routing: str = "via_an"
+    routing: str | None = None         # intra_cell_pairs only, via_an if unset
     include_baseline: bool = True
     axis_param: str | None = None      # custom_grid only
     options: OptimizerOptions = field(default_factory=OptimizerOptions)
@@ -54,8 +54,13 @@ class SweepSpec:
             self.axis = [require_integer("axis", v) for v in self.axis]
         if any(b <= a for a, b in zip(self.axis, self.axis[1:])):
             raise ConfigError("sweep axis must be strictly increasing")
-        if self.routing not in ROUTINGS:
+        if self.routing not in (None, *ROUTINGS):
             raise ConfigError(f"unknown routing {self.routing!r}")
+        if self.kind == "intra_cell_pairs":
+            self.routing = self.routing or "via_an"
+        elif self.routing is not None:
+            raise ConfigError(
+                f"routing applies to intra_cell_pairs only, not {self.kind!r}")
         if not self.schemes:
             raise ConfigError("at least one scheme required")
         for i, scheme in enumerate(self.schemes):
@@ -283,7 +288,7 @@ def load_sweep_spec(path) -> SweepSpec:
     path = Path(path)
     raw = parse_config_text(path.read_text(encoding="utf-8"),
                             known_keys=_SWEEP_KEYS | set(CONFIG_KEYS),
-                            verbatim={"axis"})
+                            verbatim={"axis", "routing"})
     if "kind" not in raw:
         raise ConfigError("sweep spec needs a 'kind'")
 
@@ -299,9 +304,6 @@ def load_sweep_spec(path) -> SweepSpec:
         raise ConfigError(f"sweep base params incomplete, missing: {missing}")
 
     kind = str(raw["kind"])
-    if "routing" in raw and kind != "intra_cell_pairs":
-        raise ConfigError(
-            f"routing applies to intra_cell_pairs only, not {kind!r}")
     if "axis" in raw:
         axis = _parse_axis(raw["axis"])
     elif kind == "intra_cell_pairs":
@@ -325,7 +327,7 @@ def load_sweep_spec(path) -> SweepSpec:
             f"got {flag!r}")
 
     spec = SweepSpec(kind=kind, axis=axis, base_db=base_db, schemes=schemes,
-                     routing=str(raw.get("routing", "via_an")),
+                     routing=raw.get("routing"),
                      include_baseline=_FLAGS[flag],
                      axis_param=raw.get("axis_param"), options=options)
     spec.check()

@@ -59,6 +59,11 @@ def test_non_finite_value_rejected(reference_db):
             ("p_an_dbm", 5000, "p_an_dbm is out of range, got 5000"),
             ("l_ue_db", -5000, "l_ue_db is out of range, got -5000"),
             ("noise_dbm", 10 ** 400, "noise_dbm is out of range, got 1000"),
+            # and that underflow to 0
+            ("p_an_dbm", -5000, "p_an_dbm is out of range, got -5000"),
+            ("l_ue_db", 5000, "l_ue_db is out of range, got 5000"),
+            ("si_cancellation_db", 4000,
+             "si_cancellation_db is out of range, got 4000"),
             # a count the kernel's float coefficients cannot hold
             ("n_t", 10 ** 400, "n_t is out of range, got 1000")]:
         with pytest.raises(ConfigError, match=message):

@@ -224,6 +224,97 @@ def test_optimizer_drops_no_constraint(scheme, cell):
         assert list(g[:len(expected)]) == expected
 
 
+# The point arguments, in `_Problem.variables` numbering
+_POINT_ARGS = ("p_d", "p_u", "p_bh_d", "p_bh_u", "p_u_d2d", "eta", "t")
+
+
+@pytest.mark.parametrize("scheme", list(Scheme))
+@pytest.mark.parametrize("cell", [{}, {"k_d2d": 1}, {"k_an": 1}],
+                         ids=["reference", "direct-pair", "relayed-pair"])
+def test_variable_table_is_the_layout(scheme, cell):
+    # the layout written out apart from the optimizer: 4 powers, or 5 with
+    # direct pairs; eta only for hd and rl; t only with relayed pairs
+    params = make_params(**cell)
+    problem = _Problem(scheme, params)
+    caps = {"p_d": params.p_an_max, "p_u": params.p_ue_max,
+            "p_bh_d": params.p_bh_d_max, "p_bh_u": params.p_an_max,
+            "p_u_d2d": params.p_ue_max}
+    names = ["p_d", "p_u", "p_bh_d", "p_bh_u"]
+    if params.k_d2d:
+        names.append("p_u_d2d")
+    expected = [(name, -8.0, math.log10(caps[name])) for name in names]
+    if scheme is not Scheme.FULL_DUPLEX:
+        expected.append(("eta", 0.0, 1.0))
+    if params.k_an:
+        expected.append(("t", 0.0, math.log2(
+            1.0 + params.l_ue * params.n_t * params.p_an_max
+            / params.sigma_n2)))
+    got = [(_POINT_ARGS[arg], lo, hi) for arg, lo, hi in problem.variables]
+    assert [name for name, _, _ in got] == [name for name, _, _ in expected]
+    for (name, lo, hi), (_, want_lo, want_hi) in zip(got, expected):
+        assert (lo, hi) == pytest.approx((want_lo, want_hi), rel=1e-15), name
+    assert list(problem.lo) == [lo for _, lo, _ in got]
+    assert list(problem.hi) == [hi for _, _, hi in got]
+
+    rng = np.random.default_rng(3)
+    for _ in range(20):
+        # an allocation inside the boxes that keeps the conventions: no
+        # D2D power without direct pairs, eta = 0.5 under fd
+        values = {name: 10.0 ** rng.uniform(-6.0, hi)
+                  for name, _, hi in expected if name in caps}
+        if scheme is not Scheme.FULL_DUPLEX:
+            values["eta"] = rng.uniform(0.0, 1.0)
+        alloc = PowerAllocation(**values)
+        x = problem.from_alloc(alloc)
+        assert x.shape == (len(expected),)
+        if params.k_an:
+            # t starts at the smaller relay rate
+            parts = _kernels.rate_parts(links(scheme, params).kernel,
+                                        *alloc.as_tuple())
+            assert x[-1] == min(parts[3], parts[4])
+        back = problem.to_alloc(x)
+        for name, value in values.items():
+            assert getattr(back, name) == pytest.approx(value, rel=1e-12)
+        # every point of the boxes keeps the conventions
+        for a in (back, problem.to_alloc(rng.uniform(problem.lo,
+                                                     problem.hi))):
+            if not params.k_d2d:
+                assert a.p_u_d2d == 0.0
+            if scheme is Scheme.FULL_DUPLEX:
+                assert a.eta == 0.5
+
+
+@st.composite
+def _relayed_cells(draw):
+    """A random cell with relayed pairs and a scheme it is valid for.  The
+    UE budget may exceed the AN's, and under hd, where no antenna sends
+    while the AN receives, ``n_r`` may exceed ``n_t``."""
+    scheme = draw(st.sampled_from(list(Scheme)))
+    n_t = draw(st.integers(50, 200))
+    n_r = draw(st.integers(24, 300 if scheme is Scheme.HALF_DUPLEX
+                           else n_t - 20))
+    m_bh_t = draw(st.integers(1, 6))
+    return scheme, make_params(
+        n_t=n_t, n_r=n_r, m_bh_t=m_bh_t, m_bh_r=2 * m_bh_t,
+        k_an=draw(st.integers(1, 3)),
+        p_an_dbm=draw(st.floats(-10.0, 40.0)),
+        p_ue_dbm=draw(st.floats(-10.0, 40.0)),
+        si_cancellation_db=draw(st.floats(60.0, 140.0)))
+
+
+@settings(derandomize=True, deadline=None)
+@given(_relayed_cells(), st.floats(0.0, 1.0))
+def test_epigraph_box_never_cuts_off_the_relay_rate(cell, eta):
+    scheme, params = cell
+    arg, _, t_cap = _Problem(scheme, params).variables[-1]
+    assert _POINT_ARGS[arg] == "t"
+    corner = PowerAllocation(params.p_an_max, params.p_ue_max,
+                             params.p_bh_d_max, params.p_an_max, eta=eta)
+    parts = _kernels.rate_parts(links(scheme, params).kernel,
+                                *corner.as_tuple())
+    assert min(parts[3], parts[4]) <= t_cap
+
+
 @st.composite
 def _valid_cells(draw):
     """A random valid cell and scheme."""

@@ -57,6 +57,11 @@ def test_spec_validation():
                        match="axis_param applies to custom_grid only, "
                              "not 'si_cancellation'"):
         small_spec(axis_param="n_t").check()
+    # and so would a routing, in a spec built in code as in a spec file
+    with pytest.raises(ConfigError,
+                       match="routing applies to intra_cell_pairs only, "
+                             "not 'si_cancellation'"):
+        small_spec(routing="d2d").check()
     # a repeated scheme would write its rows twice
     with pytest.raises(ConfigError, match="scheme 'hd' is listed twice"):
         small_spec(schemes=[Scheme.HALF_DUPLEX, Scheme.FULL_DUPLEX,
@@ -388,6 +393,17 @@ def test_spec_file_rejects_routing_outside_intra_cell_pairs(tmp_path, kind,
         load_sweep_spec(spec_file)
 
 
+def test_pair_spec_without_routing_routes_via_the_an(tmp_path):
+    base = _write_reference_config(tmp_path)
+    spec_file = tmp_path / "sweep.cfg"
+    spec_file.write_text(f"kind = intra_cell_pairs\naxis = 0,1\n"
+                         f"params = {base}\n", encoding="utf-8")
+    assert load_sweep_spec(spec_file).routing == "via_an"
+    spec = small_spec(kind="intra_cell_pairs", axis=[0, 1])
+    spec.check()
+    assert spec.routing == "via_an"
+
+
 @pytest.mark.parametrize("schemes,repeated", [("hd,hd", "hd"),
                                               ("fd,rl,FD", "fd")])
 def test_spec_file_rejects_a_repeated_scheme(tmp_path, schemes, repeated):
@@ -428,7 +444,9 @@ def test_spec_file_errors(tmp_path, text, message):
 @pytest.mark.parametrize("axis_param,axis,message", [
     ("p_an_dbm", "30,5000", "p_an_dbm is out of range, got 5000.0"),
     ("k_an", "-1,0", "k_an must be >= 0, got -1"),
-], ids=["p_an_dbm", "k_an"])
+    ("si_cancellation_db", "120,4000",
+     "si_cancellation_db is out of range, got 4000.0"),
+], ids=["p_an_dbm", "k_an", "si_cancellation_db"])
 def test_bad_grid_cell_fails_before_any_point_runs(tmp_path, monkeypatch,
                                                    capsys, axis_param, axis,
                                                    message):
@@ -795,8 +813,9 @@ def test_cli_optimize_rejects_non_integer_count(tmp_path, value, shown,
     ("l_ue_db", "abc", "l_ue_db must be a number, got 'abc'"),
     ("rho_min", "x", "rho_min must be a number, got 'x'"),
     ("p_an_dbm", "5000", "p_an_dbm is out of range, got 5000"),
+    ("l_ue_db", "5000", "l_ue_db is out of range, got 5000"),
     ("n_t", "1" + "0" * 400, "n_t is out of range, got 1000"),
-], ids=["l_ue_db", "rho_min", "p_an_dbm", "n_t"])
+], ids=["l_ue_db", "rho_min", "p_an_dbm", "l_ue_db-underflow", "n_t"])
 def test_cli_optimize_names_a_bad_scalar(tmp_path, key, value, message,
                                          capsys):
     cfg = tmp_path / "cell.cfg"
