@@ -182,7 +182,7 @@ def params_from_db(raw: Mapping[str, float]) -> SystemParams:
             raise ConfigError(f"{key} is out of range, got {raw[key]!r}") from None
         if not math.isfinite(value):
             raise ConfigError(f"{key} must be finite, got {value}")
-        if sign and fields[field] == 0.0:   # underflowed
+        if sign and fields[field] < sys.float_info.min:   # subnormal or 0
             raise ConfigError(f"{key} is out of range, got {raw[key]!r}")
     return SystemParams(**fields)
 

@@ -25,10 +25,14 @@ trace, empirical SINRs) share one chunk loop, ``_screened_sum``, and each
 states only its reduction of a chunk's inverse diagonals:
 `_complex_rows` draws each chunk of ``_CHUNK`` draws a block of ``_BLOCK``
 at a time, and `_inverse_diagonals` forms each block's Gram matrices and
-inverses once as it arrives, so only the chunk's scaled real half (50 MiB
-for 80 x 160 draws) and one block stay resident.  The loop drops the
-ill-conditioned draws and, once the draws are done, fails the check if
-more than 1% were rejected; so does the per-draw exactness check.
+inverses once as it arrives.  Of the chunk's scaled real half only the
+blocks within ``_HELD_BYTES`` (16 MiB; the whole half is 50 MiB for
+80 x 160 draws) stay resident beside one block: the real parts of each
+later block are skipped over and drawn again from the generator's state
+noted before them, which replays the same normals, so the stream and its
+end state are unchanged.  The loop drops the ill-conditioned draws and,
+once the draws are done, fails the check if more than 1% were rejected;
+so does the per-draw exactness check.
 `_inverse_diagonals` certifies most draws from a norm bound instead of an
 eigendecomposition; that changes the work done, not the draws, the
 rejections or the values.
@@ -45,6 +49,7 @@ from .rates import sinr_set
 
 _CHUNK = 512
 _BLOCK = 32     # draws per block drawn and screened: bounds the temporaries
+_HELD_BYTES = 16 * 2 ** 20   # a chunk's real parts held; the rest replayed
 _COND_LIMIT = 1e10
 _REJECT_FRACTION_LIMIT = 0.01
 
@@ -80,16 +85,36 @@ def _complex_rows(rng, count, m, n, gains):
     """Yield (count, m, n) draws with row k variance gains[k], ``_BLOCK``
     draws at a time.
 
-    The stream gives every real part before any imaginary part: the real
-    half is drawn and scaled first, and each block is completed as its
-    imaginary parts are drawn.  The values, and the generator's end state,
-    are those of ``(a + 1j * b) * scale`` over the whole chunk.
+    The stream gives every real part before any imaginary part.  The real
+    parts of the leading blocks that fit ``_HELD_BYTES`` (at least one
+    block) are drawn in one call and scaled.  For each later block the
+    generator's state is noted, and its real parts are drawn into one
+    scratch block and dropped, which leaves ``rng`` where the imaginary
+    parts begin.  Each block is then completed as its imaginary parts are
+    drawn; a later block first draws its real parts again from a second
+    generator set to its noted state.  A state fixes the normals drawn
+    from it, so the values, and ``rng``'s end state, are those of
+    ``(a + 1j * b) * scale`` over the whole chunk.
     """
     scale = np.sqrt(np.asarray(gains, dtype=float) / 2.0)[None, :, None]
-    real = rng.standard_normal((count, m, n))
+    held = max(1, _HELD_BYTES // (_BLOCK * m * n * 8)) * _BLOCK
+    real = rng.standard_normal((min(count, held), m, n))
     real *= scale
+    if held < count:
+        states = []
+        scratch = np.empty((_BLOCK, m, n))
+        for start in range(held, count, _BLOCK):
+            states.append(rng.bit_generator.state)
+            rng.standard_normal(out=scratch[:count - start])
+        del scratch     # not kept beside the held blocks and their temporaries
+        replay = np.random.Generator(type(rng.bit_generator)())
     for start in range(0, count, _BLOCK):
-        z = real[start:start + _BLOCK].astype(complex)
+        if start < held:
+            z = real[start:start + _BLOCK].astype(complex)
+        else:
+            replay.bit_generator.state = states.pop(0)
+            z = np.empty((min(_BLOCK, count - start), m, n), complex)
+            np.multiply(replay.standard_normal(z.shape), scale, out=z.real)
         np.multiply(rng.standard_normal(z.shape), scale, out=z.imag)
         yield z
 

@@ -59,8 +59,10 @@ def test_non_finite_value_rejected(reference_db):
             ("p_an_dbm", 5000, "p_an_dbm is out of range, got 5000"),
             ("l_ue_db", -5000, "l_ue_db is out of range, got -5000"),
             ("noise_dbm", 10 ** 400, "noise_dbm is out of range, got 1000"),
-            # and that underflow to 0
+            # and that underflow to 0 or to a subnormal float
             ("p_an_dbm", -5000, "p_an_dbm is out of range, got -5000"),
+            ("p_an_dbm", -3200, "p_an_dbm is out of range, got -3200"),
+            ("l_ue_db", 3200, "l_ue_db is out of range, got 3200"),
             ("l_ue_db", 5000, "l_ue_db is out of range, got 5000"),
             ("si_cancellation_db", 4000,
              "si_cancellation_db is out of range, got 4000"),
@@ -111,6 +113,14 @@ def test_db_round_trip(reference_db):
     back = params_to_db(params_from_db(reference_db))
     for key, value in reference_db.items():
         assert back[key] == pytest.approx(value, rel=1e-9, abs=1e-9), key
+
+
+@pytest.mark.parametrize("key,value", [("l_ue_db", 3070.0),
+                                       ("p_an_dbm", -3070.0)])
+def test_smallest_normal_linear_values_accepted(reference_db, key, value):
+    # 1e-307 is a normal float, 10 dB above the subnormal range
+    back = params_to_db(params_from_db(dict(reference_db, **{key: value})))
+    assert back[key] == pytest.approx(value, rel=1e-12)
 
 
 @pytest.mark.parametrize("scheme", list(Scheme))

@@ -446,7 +446,8 @@ def test_spec_file_errors(tmp_path, text, message):
     ("k_an", "-1,0", "k_an must be >= 0, got -1"),
     ("si_cancellation_db", "120,4000",
      "si_cancellation_db is out of range, got 4000.0"),
-], ids=["p_an_dbm", "k_an", "si_cancellation_db"])
+    ("p_an_dbm", "-3200,30", "p_an_dbm is out of range, got -3200.0"),
+], ids=["p_an_dbm", "k_an", "si_cancellation_db", "p_an_dbm-subnormal"])
 def test_bad_grid_cell_fails_before_any_point_runs(tmp_path, monkeypatch,
                                                    capsys, axis_param, axis,
                                                    message):
@@ -814,8 +815,10 @@ def test_cli_optimize_rejects_non_integer_count(tmp_path, value, shown,
     ("rho_min", "x", "rho_min must be a number, got 'x'"),
     ("p_an_dbm", "5000", "p_an_dbm is out of range, got 5000"),
     ("l_ue_db", "5000", "l_ue_db is out of range, got 5000"),
+    ("l_ue_db", "3200", "l_ue_db is out of range, got 3200"),
     ("n_t", "1" + "0" * 400, "n_t is out of range, got 1000"),
-], ids=["l_ue_db", "rho_min", "p_an_dbm", "l_ue_db-underflow", "n_t"])
+], ids=["l_ue_db", "rho_min", "p_an_dbm", "l_ue_db-underflow",
+        "l_ue_db-subnormal", "n_t"])
 def test_cli_optimize_names_a_bad_scalar(tmp_path, key, value, message,
                                          capsys):
     cfg = tmp_path / "cell.cfg"

@@ -108,6 +108,65 @@ def test_column_norm_check_keeps_one_block_beside_the_real_half():
     assert peak < 0.75 * chunk_bytes
 
 
+@pytest.mark.parametrize("held", ["none", "one_block", "default"])
+@pytest.mark.parametrize("shape", [(20, 40), (40, 80), (80, 160)],
+                         ids=["x1", "x2", "x4"])
+def test_complex_rows_replay_equals_complex_expression(shape, held,
+                                                       monkeypatch):
+    m, n = shape
+    budget = {"none": 0, "one_block": zfval._BLOCK * m * n * 8,
+              "default": zfval._HELD_BYTES}[held]
+    monkeypatch.setattr(zfval, "_HELD_BYTES", budget)
+    gains = np.geomspace(1e-10, 1.0, m)
+    scale = np.sqrt(gains / 2.0)[None, :, None]
+    for count in (512, 488, 33, 1):
+        rng = np.random.default_rng(8)
+        ref = np.random.default_rng(8)
+        a = ref.standard_normal((count, m, n))
+        b = ref.standard_normal((count, m, n))
+        start = 0
+        # the expression is elementwise, so each block is compared with
+        # its slice of the whole-chunk expression
+        for block in zfval._complex_rows(rng, count, m, n, gains):
+            stop = start + zfval._BLOCK
+            old = (a[start:stop] + 1j * b[start:stop]) * scale
+            assert np.array_equal(block.view(float), old.view(float))
+            start = stop
+        assert start >= count > start - zfval._BLOCK
+        assert rng.standard_normal() == ref.standard_normal()
+
+
+def test_column_norm_check_holds_at_most_the_budget_of_the_real_half():
+    # the real half of this 512-draw chunk is 50 MiB, its budget 16 MiB
+    tracemalloc.start()
+    try:
+        zfval.column_norm_check(160, 16, 64, 512, seed=5)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 40 * 2 ** 20
+
+
+@pytest.mark.parametrize("check", [
+    lambda: zfval.column_norm_check(40, 4, 16, 1000, 3),
+    lambda: zfval.column_norm_check(160, 16, 64, 512, 5),
+    lambda: zfval.wishart_trace_check(40, 20, 1000, 3),
+    lambda: zfval.empirical_sinr_check(
+        params_from_db(SMALL_DB), Scheme.HALF_DUPLEX,
+        PowerAllocation(1000.0, 100.0, 500.0, 200.0), 1000, 3),
+    lambda: zfval.empirical_sinr_check(
+        params_from_db(SMALL_DB), Scheme.HYBRID_RELAY,
+        PowerAllocation(1000.0, 100.0, 500.0, 200.0), 1000, 3),
+], ids=["column_norm", "column_norm_x4", "wishart_trace", "empirical_sinr_hd",
+        "empirical_sinr_rl"])
+def test_checks_equal_with_every_block_replayed(check, monkeypatch):
+    # at the default budget the x1 chunks are held whole, and the x4 one
+    # replays all but its first five blocks
+    held = check()
+    monkeypatch.setattr(zfval, "_HELD_BYTES", 0)
+    assert check() == held
+
+
 def _eigenvalue_path(h, gains):
     """eigvalsh + inv(gram[ok]) on the gain-normalized Gram matrix."""
     gram = h @ h.conj().transpose(0, 2, 1)
